@@ -9,8 +9,13 @@
 //!
 //! With `--csv DIR`, every printed table is also written to
 //! `DIR/<artifact>_<n>.csv` for plotting.
+//!
+//! All requested artifacts share one [`Session`], so an experiment behind
+//! several artifacts (Table 4 and Figure 16, Figure 30 and Table 7, …)
+//! runs once. On exit, one line on stderr reports how many simulation
+//! runs and testbed measurements were computed and how many were reused.
 
-use paradyn_bench::{run_artifact, Scale, ARTIFACTS};
+use paradyn_bench::{run_artifact_in, Scale, Session, ARTIFACTS};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -64,8 +69,8 @@ fn main() -> ExitCode {
                 Some(n) if n >= 1 => scale.reps = n,
                 _ => return usage(),
             },
-            "--sim-secs" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(s) if s > 0.0 => {
+            "--sim-secs" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
+                Some(s) if s > 0.0 && s.is_finite() => {
                     scale.sim_s = s;
                     scale.sim_big_s = s;
                 }
@@ -107,10 +112,11 @@ fn main() -> ExitCode {
         "# paradyn-isim reproduction | scale: reps={} sim={}s/{}s testbed={:?} seed={:#x}",
         scale.reps, scale.sim_s, scale.sim_big_s, scale.testbed, scale.seed
     );
+    let mut session = Session::new(scale);
     for id in &ids {
         let t0 = std::time::Instant::now();
         paradyn_bench::fmt::set_csv_output(csv_dir.clone(), id);
-        let known = run_artifact(id, &scale);
+        let known = run_artifact_in(id, &mut session);
         paradyn_bench::fmt::set_csv_output(None, "");
         if !known {
             eprintln!("unknown artifact {id:?} (try `repro list`)");
@@ -118,5 +124,10 @@ fn main() -> ExitCode {
         }
         println!("[{} completed in {:.1}s]", id, t0.elapsed().as_secs_f64());
     }
+    let c = session.counts();
+    eprintln!(
+        "repro: simulation runs {} computed, {} reused; testbed measurements {} computed, {} reused",
+        c.sim_computed, c.sim_reused, c.testbed_computed, c.testbed_reused
+    );
     ExitCode::SUCCESS
 }

@@ -7,6 +7,7 @@
 
 use crate::fmt::{fnum, heading, TextTable};
 use crate::scale::Scale;
+use crate::session::Session;
 use crate::simhelp::{mean_of, replicate};
 use paradyn_core::{Arch, DegradationConfig, OverloadRamp, SimConfig, SimMetrics};
 
@@ -63,7 +64,8 @@ fn goodput(runs: &[SimMetrics], sim_s: f64) -> f64 {
 }
 
 /// Run the CF-vs-BF degradation comparison and print the goodput table.
-pub fn run_degradation(scale: &Scale) {
+pub fn run_degradation(session: &mut Session) {
+    let scale = &session.scale();
     heading("Degradation: CF vs BF(8) goodput under a 2x offered-load ramp");
     let policies: [(&str, usize); 2] = [("CF", 1), ("BF(8)", 8)];
     let mut t = TextTable::new(vec![
@@ -82,7 +84,7 @@ pub fn run_degradation(scale: &Scale) {
     let mut with_ctrl = [f64::NAN; 2];
     for (i, &(label, batch)) in policies.iter().enumerate() {
         for (cname, deg) in [("off", None), ("on", Some(controller()))] {
-            let runs = replicate(&cfg(batch, deg, scale), scale);
+            let runs = replicate(&cfg(batch, deg, scale), session);
             let recv = mean_of(&runs, |m| m.received_samples as f64);
             let emitted = mean_of(&runs, |m| m.emitted_samples as f64);
             if cname == "on" {
@@ -122,8 +124,9 @@ mod tests {
     #[test]
     fn bf_retains_cf_goodput_and_sheds_only_low_tiers() {
         let scale = Scale::quick();
-        let cf = replicate(&cfg(1, Some(controller()), &scale), &scale);
-        let bf = replicate(&cfg(8, Some(controller()), &scale), &scale);
+        let session = &mut Session::new(scale);
+        let cf = replicate(&cfg(1, Some(controller()), &scale), session);
+        let bf = replicate(&cfg(8, Some(controller()), &scale), session);
         assert!(
             goodput(&bf, scale.sim_s) >= goodput(&cf, scale.sim_s),
             "bf={} cf={}",

@@ -6,6 +6,7 @@
 
 use crate::fmt::{fnum, heading, TextTable};
 use crate::scale::Scale;
+use crate::session::Session;
 use crate::simhelp::{mean_of, replicate};
 use paradyn_core::{
     Arch, DaemonCrashFaults, FaultPlan, LinkFaults, OverflowPolicy, SimConfig, SimMetrics,
@@ -55,7 +56,8 @@ fn delivery_pct(runs: &[SimMetrics]) -> f64 {
 }
 
 /// Run the fault sweep and print the robustness comparison table.
-pub fn run_faults(scale: &Scale) {
+pub fn run_faults(session: &mut Session) {
+    let scale = &session.scale();
     heading("Fault sweep: CF vs BF(32) under daemon-crash + lossy-link faults");
     let policies: [(&str, usize); 2] = [("CF", 1), ("BF(32)", 32)];
     let overflows = [
@@ -78,7 +80,7 @@ pub fn run_faults(scale: &Scale) {
     let mut crash_loss_per_crash = [f64::NAN; 2];
     for (i, &(label, batch)) in policies.iter().enumerate() {
         // Fault-free baseline.
-        let base = replicate(&cfg(batch, FaultPlan::default(), scale), scale);
+        let base = replicate(&cfg(batch, FaultPlan::default(), scale), session);
         t.row(vec![
             label.to_string(),
             "block".into(),
@@ -92,7 +94,7 @@ pub fn run_faults(scale: &Scale) {
             fnum(mean_of(&base, |m| m.writer_block_time_s), 3),
         ]);
         for &(oname, ov) in &overflows {
-            let runs = replicate(&cfg(batch, fault_plan(ov), scale), scale);
+            let runs = replicate(&cfg(batch, fault_plan(ov), scale), session);
             let crashes = mean_of(&runs, |m| m.daemon_crashes as f64);
             let lost_crash = mean_of(&runs, |m| m.lost_daemon_crash as f64);
             if ov == OverflowPolicy::Block {
@@ -143,8 +145,9 @@ mod tests {
             sim_s: 6.0,
             ..Scale::quick()
         };
-        let cf = replicate(&cfg(1, fault_plan(OverflowPolicy::Block), &scale), &scale);
-        let bf = replicate(&cfg(32, fault_plan(OverflowPolicy::Block), &scale), &scale);
+        let session = &mut Session::new(scale);
+        let cf = replicate(&cfg(1, fault_plan(OverflowPolicy::Block), &scale), session);
+        let bf = replicate(&cfg(32, fault_plan(OverflowPolicy::Block), &scale), session);
         let per_crash = |runs: &[SimMetrics]| {
             mean_of(runs, |m| m.lost_daemon_crash as f64)
                 / mean_of(runs, |m| m.daemon_crashes as f64).max(1.0)

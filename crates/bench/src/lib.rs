@@ -5,9 +5,11 @@
 //! regenerates a table or figure and prints the series/rows the paper
 //! reports, annotated with the paper's reference values where published.
 //! The `repro` binary dispatches on artifact ids (`table1` … `fig31`,
-//! `all`); the in-tree wall-clock benches under `benches/` (built on
-//! [`timing`] — the build is hermetic, so no Criterion) measure the
-//! performance of the simulator itself.
+//! `all`) and passes one [`Session`] to every artifact it runs, so an
+//! experiment shared by several artifacts runs once. The in-tree
+//! wall-clock benches under `benches/` (built on [`timing`] — the build
+//! is hermetic, so no Criterion) measure the performance of the
+//! simulator itself.
 
 pub mod analytic_figs;
 pub mod degrade_figs;
@@ -18,6 +20,7 @@ pub mod json;
 pub mod mpp_figs;
 pub mod now_figs;
 pub mod scale;
+pub mod session;
 pub mod simhelp;
 pub mod smp_figs;
 pub mod tables;
@@ -25,6 +28,7 @@ pub mod testbed_figs;
 pub mod timing;
 
 pub use scale::Scale;
+pub use session::Session;
 
 /// All artifact ids, in paper order.
 pub const ARTIFACTS: &[&str] = &[
@@ -34,8 +38,16 @@ pub const ARTIFACTS: &[&str] = &[
     "faults", "degradation",
 ];
 
-/// Run one artifact by id. Returns `false` for an unknown id.
+/// Run one artifact by id in a fresh [`Session`]. Returns `false` for an
+/// unknown id.
 pub fn run_artifact(id: &str, scale: &Scale) -> bool {
+    run_artifact_in(id, &mut Session::new(*scale))
+}
+
+/// Run one artifact by id, reusing and adding to `session`'s results.
+/// Returns `false` for an unknown id.
+pub fn run_artifact_in(id: &str, session: &mut Session) -> bool {
+    let scale = &session.scale();
     match id {
         "table1" => tables::run_table1(scale),
         "table2" => tables::run_table2(scale),
@@ -47,28 +59,28 @@ pub fn run_artifact(id: &str, scale: &Scale) -> bool {
         "fig13" => analytic_figs::run_fig13(),
         "fig14" => analytic_figs::run_fig14(),
         "fig15" => analytic_figs::run_fig15(),
-        "table4" => now_figs::run_table4(scale),
-        "fig16" => now_figs::run_fig16(scale),
-        "fig17" => now_figs::run_fig17(scale),
-        "fig18" => now_figs::run_fig18(scale),
-        "fig19" => now_figs::run_fig19(scale),
-        "table5" => smp_figs::run_table5(scale),
-        "fig20" => smp_figs::run_fig20(scale),
-        "fig21" => smp_figs::run_fig21(scale),
-        "fig22" => smp_figs::run_fig22(scale),
-        "fig23" => smp_figs::run_fig23(scale),
-        "fig24" => smp_figs::run_fig24(scale),
-        "table6" => mpp_figs::run_table6(scale),
-        "fig25" => mpp_figs::run_fig25(scale),
-        "fig26" => mpp_figs::run_fig26(scale),
-        "fig27" => mpp_figs::run_fig27(scale),
-        "fig28" => mpp_figs::run_fig28(scale),
-        "fig30" => testbed_figs::run_fig30(scale),
-        "table7" => testbed_figs::run_table7(scale),
-        "fig31" => testbed_figs::run_fig31(scale),
-        "table8" => testbed_figs::run_table8(scale),
-        "faults" => fault_figs::run_faults(scale),
-        "degradation" => degrade_figs::run_degradation(scale),
+        "table4" => now_figs::run_table4(session),
+        "fig16" => now_figs::run_fig16(session),
+        "fig17" => now_figs::run_fig17(session),
+        "fig18" => now_figs::run_fig18(session),
+        "fig19" => now_figs::run_fig19(session),
+        "table5" => smp_figs::run_table5(session),
+        "fig20" => smp_figs::run_fig20(session),
+        "fig21" => smp_figs::run_fig21(session),
+        "fig22" => smp_figs::run_fig22(session),
+        "fig23" => smp_figs::run_fig23(session),
+        "fig24" => smp_figs::run_fig24(session),
+        "table6" => mpp_figs::run_table6(session),
+        "fig25" => mpp_figs::run_fig25(session),
+        "fig26" => mpp_figs::run_fig26(session),
+        "fig27" => mpp_figs::run_fig27(session),
+        "fig28" => mpp_figs::run_fig28(session),
+        "fig30" => testbed_figs::run_fig30(session),
+        "table7" => testbed_figs::run_table7(session),
+        "fig31" => testbed_figs::run_fig31(session),
+        "table8" => testbed_figs::run_table8(session),
+        "faults" => fault_figs::run_faults(session),
+        "degradation" => degrade_figs::run_degradation(session),
         _ => return false,
     }
     true

@@ -3,7 +3,10 @@
 
 use crate::fmt::{fnum, heading, ms, pct, TextTable};
 use crate::scale::Scale;
-use crate::simhelp::{mean_of, print_variation, replicate, run_factorial, FactorialRun};
+use crate::session::Session;
+use crate::simhelp::{
+    mean_of, print_variation, replicate, replicate_each, run_factorial, FactorialRun,
+};
 use paradyn_core::{Arch, Forwarding, SimConfig};
 use paradyn_workload::pvmbt;
 
@@ -31,7 +34,8 @@ fn mpp_factorial_cfg(bits: usize, scale: &Scale) -> SimConfig {
 }
 
 /// Run the MPP factorial (shared by Table 6 and Figure 25).
-pub fn mpp_factorial(scale: &Scale) -> FactorialRun {
+pub fn mpp_factorial(session: &mut Session) -> FactorialRun {
+    let scale = &session.scale();
     run_factorial(
         vec![
             "number of nodes",
@@ -41,14 +45,14 @@ pub fn mpp_factorial(scale: &Scale) -> FactorialRun {
         ],
         |bits| mpp_factorial_cfg(bits, scale),
         |m| m.pd_cpu_per_node_s,
-        scale,
+        session,
     )
 }
 
 /// Reproduce Table 6.
-pub fn run_table6(scale: &Scale) {
+pub fn run_table6(session: &mut Session) {
     heading("Table 6: 2^k r factorial simulation results — MPP");
-    let fr = mpp_factorial(scale);
+    let fr = mpp_factorial(session);
     let mut t = TextTable::new(vec![
         "nodes",
         "period ms",
@@ -71,9 +75,9 @@ pub fn run_table6(scale: &Scale) {
 }
 
 /// Reproduce Figure 25: allocation of variation for the MPP design.
-pub fn run_fig25(scale: &Scale) {
+pub fn run_fig25(session: &mut Session) {
     heading("Figure 25: allocation of variation — MPP");
-    let fr = mpp_factorial(scale);
+    let fr = mpp_factorial(session);
     print_variation("variation explained for Pd CPU time", &fr.overhead);
     print_variation("variation explained for monitoring latency", &fr.latency);
     println!("paper: Pd CPU time led by B (period, 21%) and C (policy, 19%);");
@@ -93,7 +97,8 @@ fn mpp_base(scale: &Scale, forwarding: Forwarding) -> SimConfig {
 
 /// Reproduce Figure 26: metrics vs sampling period at 256 nodes — CF vs
 /// BF under direct forwarding, plus BF under tree forwarding.
-pub fn run_fig26(scale: &Scale) {
+pub fn run_fig26(session: &mut Session) {
+    let scale = &session.scale();
     heading("Figure 26: MPP metrics vs sampling period (256 nodes)");
     let mut t = TextTable::new(vec![
         "period ms",
@@ -105,38 +110,41 @@ pub fn run_fig26(scale: &Scale) {
         "latency ms CF-direct",
         "latency ms BF-direct",
     ]);
-    for &p in &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0] {
-        let cf = replicate(
-            &SimConfig {
+    // (period × {CF-direct, BF-direct, BF-tree}) as one batch: the 1 ms
+    // points dominate, and one dynamically scheduled batch keeps every
+    // thread busy until the last of them finishes.
+    let periods = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
+    let cfgs: Vec<SimConfig> = periods
+        .iter()
+        .flat_map(|&p| {
+            let at_period = |forwarding| SimConfig {
                 sampling_period_us: p * 1e3,
-                batch: 1,
-                ..mpp_base(scale, Forwarding::Direct)
-            },
-            scale,
-        );
-        let bf = replicate(
-            &SimConfig {
-                sampling_period_us: p * 1e3,
-                ..mpp_base(scale, Forwarding::Direct)
-            },
-            scale,
-        );
-        let tr = replicate(
-            &SimConfig {
-                sampling_period_us: p * 1e3,
-                ..mpp_base(scale, Forwarding::BinaryTree)
-            },
-            scale,
-        );
+                ..mpp_base(scale, forwarding)
+            };
+            [
+                SimConfig {
+                    batch: 1,
+                    ..at_period(Forwarding::Direct)
+                },
+                at_period(Forwarding::Direct),
+                at_period(Forwarding::BinaryTree),
+            ]
+        })
+        .collect();
+    let runs = replicate_each(&cfgs, session);
+    for (&p, variants) in periods.iter().zip(runs.chunks(3)) {
+        let [cf, bf, tr] = variants else {
+            unreachable!("three variants per period")
+        };
         t.row(vec![
             fnum(p, 0),
-            pct(mean_of(&cf, |m| m.pd_cpu_util_per_node)),
-            pct(mean_of(&bf, |m| m.pd_cpu_util_per_node)),
-            pct(mean_of(&tr, |m| m.pd_cpu_util_per_node)),
-            pct(mean_of(&bf, |m| m.main_cpu_util)),
-            pct(mean_of(&bf, |m| m.app_cpu_util_per_node)),
-            ms(mean_of(&cf, |m| m.latency_mean_s)),
-            ms(mean_of(&bf, |m| m.latency_mean_s)),
+            pct(mean_of(cf, |m| m.pd_cpu_util_per_node)),
+            pct(mean_of(bf, |m| m.pd_cpu_util_per_node)),
+            pct(mean_of(tr, |m| m.pd_cpu_util_per_node)),
+            pct(mean_of(bf, |m| m.main_cpu_util)),
+            pct(mean_of(bf, |m| m.app_cpu_util_per_node)),
+            ms(mean_of(cf, |m| m.latency_mean_s)),
+            ms(mean_of(bf, |m| m.latency_mean_s)),
         ]);
     }
     t.print();
@@ -145,7 +153,8 @@ pub fn run_fig26(scale: &Scale) {
 }
 
 /// Reproduce Figure 27: metrics vs node count, direct vs tree (40 ms, BF).
-pub fn run_fig27(scale: &Scale) {
+pub fn run_fig27(session: &mut Session) {
+    let scale = &session.scale();
     heading("Figure 27: MPP metrics vs nodes, direct vs tree (40 ms, BF 32)");
     let mut t = TextTable::new(vec![
         "nodes",
@@ -163,14 +172,14 @@ pub fn run_fig27(scale: &Scale) {
                 nodes: n,
                 ..mpp_base(scale, Forwarding::Direct)
             },
-            scale,
+            session,
         );
         let tr = replicate(
             &SimConfig {
                 nodes: n,
                 ..mpp_base(scale, Forwarding::BinaryTree)
             },
-            scale,
+            session,
         );
         t.row(vec![
             n.to_string(),
@@ -189,7 +198,8 @@ pub fn run_fig27(scale: &Scale) {
 }
 
 /// Reproduce Figure 28: metrics vs barrier period (256 nodes, 40 ms, BF).
-pub fn run_fig28(scale: &Scale) {
+pub fn run_fig28(session: &mut Session) {
+    let scale = &session.scale();
     heading("Figure 28: MPP metrics vs barrier period (256 nodes, 40 ms, BF 32)");
     let mut t = TextTable::new(vec![
         "barrier period ms",
@@ -202,7 +212,7 @@ pub fn run_fig28(scale: &Scale) {
     for &bp_ms in &[0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0] {
         let mut cfg = mpp_base(scale, Forwarding::Direct);
         cfg.app = pvmbt().with_barriers(bp_ms * 1e3);
-        let runs = replicate(&cfg, scale);
+        let runs = replicate(&cfg, session);
         t.row(vec![
             fnum(bp_ms, 2),
             fnum(mean_of(&runs, |m| m.pd_cpu_util_per_node) * 100.0, 4),

@@ -3,6 +3,7 @@
 
 use crate::fmt::{fnum, heading, ms, pct, TextTable};
 use crate::scale::Scale;
+use crate::session::Session;
 use crate::simhelp::{mean_of, print_variation, replicate, run_factorial, FactorialRun};
 use paradyn_core::{Arch, SimConfig};
 use paradyn_workload::{comm_intensive, compute_intensive};
@@ -30,19 +31,21 @@ fn now_factorial_cfg(bits: usize, scale: &Scale) -> SimConfig {
 }
 
 /// Run the NOW factorial once (shared by Table 4 and Figure 16).
-pub fn now_factorial(scale: &Scale) -> FactorialRun {
+pub fn now_factorial(session: &mut Session) -> FactorialRun {
+    let scale = &session.scale();
     run_factorial(
         vec!["number of nodes", "sampling period", "forwarding policy", "application type"],
         |bits| now_factorial_cfg(bits, scale),
         |m| m.pd_cpu_per_node_s,
-        scale,
+        session,
     )
 }
 
 /// Reproduce Table 4: the 2^4·r NOW simulation results.
-pub fn run_table4(scale: &Scale) {
+pub fn run_table4(session: &mut Session) {
+    let scale = &session.scale();
     heading("Table 4: 2^k r factorial simulation results — NOW");
-    let fr = now_factorial(scale);
+    let fr = now_factorial(session);
     let mut t = TextTable::new(vec![
         "period ms",
         "nodes",
@@ -69,9 +72,9 @@ pub fn run_table4(scale: &Scale) {
 }
 
 /// Reproduce Figure 16: allocation of variation for the NOW design.
-pub fn run_fig16(scale: &Scale) {
+pub fn run_fig16(session: &mut Session) {
     heading("Figure 16: allocation of variation — NOW");
-    let fr = now_factorial(scale);
+    let fr = now_factorial(session);
     print_variation("variation explained for Pd CPU time", &fr.overhead);
     print_variation("variation explained for monitoring latency", &fr.latency);
     println!("paper: Pd CPU time dominated by B (sampling period, 68%) then C (policy, 19%);");
@@ -80,7 +83,8 @@ pub fn run_fig16(scale: &Scale) {
 
 /// Reproduce Figure 17: local-level CPU time and throughput, CF vs BF(32),
 /// on one node with multiple application processes.
-pub fn run_fig17(scale: &Scale) {
+pub fn run_fig17(session: &mut Session) {
+    let scale = &session.scale();
     heading("Figure 17: local metrics, CF vs BF(32) (one node)");
     let base = SimConfig {
         arch: Arch::Now {
@@ -106,7 +110,7 @@ pub fn run_fig17(scale: &Scale) {
                 sampling_period_us: p * 1e3,
                 ..base.clone()
             },
-            scale,
+            session,
         );
         let bf = replicate(
             &SimConfig {
@@ -115,7 +119,7 @@ pub fn run_fig17(scale: &Scale) {
                 batch: 32,
                 ..base.clone()
             },
-            scale,
+            session,
         );
         t.row(vec![
             fnum(p, 0),
@@ -141,7 +145,7 @@ pub fn run_fig17(scale: &Scale) {
                 apps_per_node: apps,
                 ..base.clone()
             },
-            scale,
+            session,
         );
         let bf = replicate(
             &SimConfig {
@@ -149,7 +153,7 @@ pub fn run_fig17(scale: &Scale) {
                 batch: 32,
                 ..base.clone()
             },
-            scale,
+            session,
         );
         t.row(vec![
             apps.to_string(),
@@ -166,7 +170,8 @@ pub fn run_fig17(scale: &Scale) {
 
 /// Reproduce Figure 18: global metrics vs nodes and vs sampling period,
 /// CF vs BF(32) vs uninstrumented (contention-free network).
-pub fn run_fig18(scale: &Scale) {
+pub fn run_fig18(session: &mut Session) {
+    let scale = &session.scale();
     heading("Figure 18: global metrics, CF vs BF(32), contention-free network");
     let base = SimConfig {
         arch: Arch::Now {
@@ -176,8 +181,8 @@ pub fn run_fig18(scale: &Scale) {
         seed: scale.seed,
         ..Default::default()
     };
-    let series = |cfg: &SimConfig| {
-        let runs = replicate(cfg, scale);
+    let mut series = |cfg: &SimConfig| {
+        let runs = replicate(cfg, session);
         (
             mean_of(&runs, |m| m.pd_cpu_util_per_node),
             mean_of(&runs, |m| m.main_cpu_util),
@@ -258,7 +263,8 @@ pub fn run_fig18(scale: &Scale) {
 
 /// Reproduce Figure 19: batch-size sweep showing the knee (8 nodes,
 /// contention-free network).
-pub fn run_fig19(scale: &Scale) {
+pub fn run_fig19(session: &mut Session) {
+    let scale = &session.scale();
     heading("Figure 19: batch-size sweep (8 nodes)");
     let base = SimConfig {
         arch: Arch::Now {
@@ -285,7 +291,7 @@ pub fn run_fig19(scale: &Scale) {
                     batch: b,
                     ..base.clone()
                 },
-                scale,
+                session,
             );
             t.row(vec![
                 b.to_string(),

@@ -4,12 +4,12 @@
 //! Every replication's seed is a pure function of `(scale.seed,
 //! replication index)`, so the sweeps fan out over
 //! [`paradyn_core::run_many`]'s scoped threads while staying bit-identical
-//! to a serial execution.
+//! to a serial execution. The replicated sweeps run through a
+//! [`Session`], which runs each distinct replication once per process.
 
 use crate::scale::Scale;
-use paradyn_core::{
-    default_threads, replication_seed, run_forked, run_many, SimConfig, SimMetrics,
-};
+use crate::session::Session;
+use paradyn_core::{default_threads, replication_seed, run_forked, SimConfig, SimMetrics};
 use paradyn_stats::Design2kr;
 
 /// The `scale.reps` seed-derived configurations for one base configuration.
@@ -25,8 +25,23 @@ fn replica_cfgs(cfg: &SimConfig, scale: &Scale) -> Vec<SimConfig> {
 
 /// Run one configuration `scale.reps` times with derived seeds and return
 /// the per-replication metrics (in replication order; runs in parallel).
-pub fn replicate(cfg: &SimConfig, scale: &Scale) -> Vec<SimMetrics> {
-    run_many(&replica_cfgs(cfg, scale), default_threads())
+pub fn replicate(cfg: &SimConfig, session: &mut Session) -> Vec<SimMetrics> {
+    let scale = session.scale();
+    session.run_all(&replica_cfgs(cfg, &scale))
+}
+
+/// [`replicate`] for every configuration in `cfgs`, as one batch: the
+/// whole (configuration × replication) grid fans out at once, so a sweep
+/// keeps every thread busy even when `reps` is small. Returns one
+/// replication set per configuration, in input order.
+pub fn replicate_each(cfgs: &[SimConfig], session: &mut Session) -> Vec<Vec<SimMetrics>> {
+    let scale = session.scale();
+    let all: Vec<SimConfig> = cfgs.iter().flat_map(|c| replica_cfgs(c, &scale)).collect();
+    session
+        .run_all(&all)
+        .chunks(scale.reps)
+        .map(<[SimMetrics]>::to_vec)
+        .collect()
 }
 
 /// [`replicate`] via checkpoint forking: warm **one** simulation of `cfg`
@@ -75,20 +90,14 @@ pub fn run_factorial(
     factor_names: Vec<&str>,
     cfg_of: impl Fn(usize) -> SimConfig,
     overhead_of: impl Fn(&SimMetrics) -> f64,
-    scale: &Scale,
+    session: &mut Session,
 ) -> FactorialRun {
     let k = factor_names.len();
     let mut overhead = Design2kr::new(factor_names.clone());
     let mut latency = Design2kr::new(factor_names);
     let mut rows = vec![];
-    // Fan the whole (configuration × replication) grid out at once so the
-    // sweep keeps every core busy even when `reps` is small.
-    let all_cfgs: Vec<SimConfig> = (0..(1usize << k))
-        .flat_map(|bits| replica_cfgs(&cfg_of(bits), scale))
-        .collect();
-    let all_runs = run_many(&all_cfgs, default_threads());
-    for bits in 0..(1usize << k) {
-        let runs = &all_runs[bits * scale.reps..(bits + 1) * scale.reps];
+    let cells: Vec<SimConfig> = (0..(1usize << k)).map(cfg_of).collect();
+    for (bits, runs) in replicate_each(&cells, session).iter().enumerate() {
         record_cell(bits, runs, &overhead_of, &mut overhead, &mut latency, &mut rows);
     }
     FactorialRun {
@@ -193,7 +202,7 @@ mod tests {
             duration_s: 1.0,
             ..Default::default()
         };
-        let runs = replicate(&cfg, &tiny());
+        let runs = replicate(&cfg, &mut Session::new(tiny()));
         assert_eq!(runs.len(), 2);
         assert_ne!(runs[0].received_samples, runs[1].received_samples);
     }
@@ -257,7 +266,7 @@ mod tests {
                 ..Default::default()
             },
             |m| m.pd_cpu_per_node_s,
-            &scale,
+            &mut Session::new(scale),
         );
         assert_eq!(fr.rows.len(), 4);
         let v = fr.overhead.analyze();

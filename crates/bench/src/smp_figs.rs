@@ -3,6 +3,7 @@
 
 use crate::fmt::{fnum, heading, ms, pct, TextTable};
 use crate::scale::Scale;
+use crate::session::Session;
 use crate::simhelp::{mean_of, print_variation, replicate, run_factorial, FactorialRun};
 use paradyn_core::{Arch, SimConfig};
 use paradyn_workload::{comm_intensive, compute_intensive};
@@ -31,19 +32,20 @@ fn smp_factorial_cfg(bits: usize, scale: &Scale) -> SimConfig {
 }
 
 /// Run the SMP factorial (shared by Table 5 and Figure 20).
-pub fn smp_factorial(scale: &Scale) -> FactorialRun {
+pub fn smp_factorial(session: &mut Session) -> FactorialRun {
+    let scale = &session.scale();
     run_factorial(
         vec!["number of nodes", "sampling period", "forwarding policy", "application type"],
         |bits| smp_factorial_cfg(bits, scale),
         |m| m.is_cpu_util_per_node * m.duration_s, // IS CPU time per node
-        scale,
+        session,
     )
 }
 
 /// Reproduce Table 5.
-pub fn run_table5(scale: &Scale) {
+pub fn run_table5(session: &mut Session) {
     heading("Table 5: 2^k r factorial simulation results — SMP (apps = nodes)");
-    let fr = smp_factorial(scale);
+    let fr = smp_factorial(session);
     let mut t = TextTable::new(vec![
         "period ms",
         "nodes",
@@ -66,9 +68,9 @@ pub fn run_table5(scale: &Scale) {
 }
 
 /// Reproduce Figure 20: allocation of variation for the SMP design.
-pub fn run_fig20(scale: &Scale) {
+pub fn run_fig20(session: &mut Session) {
     heading("Figure 20: allocation of variation — SMP");
-    let fr = smp_factorial(scale);
+    let fr = smp_factorial(session);
     print_variation("variation explained for IS CPU time", &fr.overhead);
     print_variation("variation explained for monitoring latency", &fr.latency);
     println!("paper: IS CPU time led by A (nodes, 33%) then B (period); latency led by");
@@ -88,7 +90,8 @@ fn smp_base(scale: &Scale) -> SimConfig {
 
 /// Reproduce Figure 21: daemon data-forwarding throughput vs CPU count for
 /// 1–4 daemons, CF vs BF(32) (each CPU runs one application process).
-pub fn run_fig21(scale: &Scale) {
+pub fn run_fig21(session: &mut Session) {
+    let scale = &session.scale();
     heading("Figure 21: SMP daemon throughput vs CPUs, 1-4 Pds (40 ms)");
     for (label, batch) in [("CF", 1usize), ("BF(32)", 32)] {
         println!("\n{label}");
@@ -109,7 +112,7 @@ pub fn run_fig21(scale: &Scale) {
                     batch,
                     ..smp_base(scale)
                 };
-                let runs = replicate(&cfg, scale);
+                let runs = replicate(&cfg, session);
                 cells.push(fnum(mean_of(&runs, |m| m.throughput_per_s), 0));
             }
             t.row(cells);
@@ -122,7 +125,8 @@ pub fn run_fig21(scale: &Scale) {
 
 /// Reproduce Figure 22: global metrics vs node (CPU) count for 1–4
 /// daemons (40 ms, 32 apps).
-pub fn run_fig22(scale: &Scale) {
+pub fn run_fig22(session: &mut Session) {
+    let scale = &session.scale();
     heading("Figure 22: SMP metrics vs nodes, 1-4 Pds (40 ms, 32 apps)");
     for (label, batch) in [("CF", 1usize), ("BF(32)", 32)] {
         println!("\n{label}");
@@ -136,7 +140,7 @@ pub fn run_fig22(scale: &Scale) {
             "app CPU % uninst",
         ]);
         for &n in &[2usize, 4, 8, 16, 24, 32] {
-            let run_with = |pds: usize, instrumented: bool| {
+            let mut run_with = |pds: usize, instrumented: bool| {
                 let cfg = SimConfig {
                     nodes: n,
                     pds,
@@ -144,7 +148,7 @@ pub fn run_fig22(scale: &Scale) {
                     instrumented,
                     ..smp_base(scale)
                 };
-                replicate(&cfg, scale)
+                replicate(&cfg, session)
             };
             let p1 = run_with(1, true);
             let p4 = run_with(4, true);
@@ -168,7 +172,8 @@ pub fn run_fig22(scale: &Scale) {
 /// Reproduce Figure 23: global metrics vs sampling period for 1–4 daemons
 /// (16 nodes, 32 apps) — including the pipe-full blocking collapse at
 /// small periods.
-pub fn run_fig23(scale: &Scale) {
+pub fn run_fig23(session: &mut Session) {
+    let scale = &session.scale();
     heading("Figure 23: SMP metrics vs sampling period, 1-4 Pds (16 nodes, 32 apps)");
     for (label, batch) in [("CF", 1usize), ("BF(32)", 32)] {
         println!("\n{label}");
@@ -182,7 +187,7 @@ pub fn run_fig23(scale: &Scale) {
             "blocked 1Pd",
         ]);
         for &p in &[2.0, 5.0, 10.0, 20.0, 40.0, 64.0] {
-            let run_with = |pds: usize| {
+            let mut run_with = |pds: usize| {
                 replicate(
                     &SimConfig {
                         sampling_period_us: p * 1e3,
@@ -190,7 +195,7 @@ pub fn run_fig23(scale: &Scale) {
                         batch,
                         ..smp_base(scale)
                     },
-                    scale,
+                    session,
                 )
             };
             let p1 = run_with(1);
@@ -213,7 +218,8 @@ pub fn run_fig23(scale: &Scale) {
 
 /// Reproduce Figure 24: global metrics vs application-process count for
 /// 1–4 daemons (40 ms, 16 nodes).
-pub fn run_fig24(scale: &Scale) {
+pub fn run_fig24(session: &mut Session) {
+    let scale = &session.scale();
     heading("Figure 24: SMP metrics vs app processes, 1-4 Pds (40 ms, 16 nodes)");
     for (label, batch) in [("CF", 1usize), ("BF(32)", 32)] {
         println!("\n{label}");
@@ -225,7 +231,7 @@ pub fn run_fig24(scale: &Scale) {
             "app CPU % 1Pd",
         ]);
         for &apps in &[4usize, 8, 16, 32, 48, 64] {
-            let run_with = |pds: usize| {
+            let mut run_with = |pds: usize| {
                 replicate(
                     &SimConfig {
                         apps_per_node: apps,
@@ -233,7 +239,7 @@ pub fn run_fig24(scale: &Scale) {
                         batch,
                         ..smp_base(scale)
                     },
-                    scale,
+                    session,
                 )
             };
             let p1 = run_with(1);

@@ -4,12 +4,19 @@
 
 use crate::fmt::{fnum, heading, pct, TextTable};
 use crate::scale::Scale;
+use crate::session::Session;
 use paradyn_stats::Design2kr;
-use paradyn_testbed::{run, KernelKind, Measurement, Policy, TestbedConfig};
+use paradyn_testbed::{KernelKind, Measurement, Policy, TestbedConfig};
 use std::time::Duration;
 
-fn measure(policy: Policy, period: Duration, kernel: KernelKind, scale: &Scale) -> Measurement {
-    run(&TestbedConfig {
+fn measure(
+    policy: Policy,
+    period: Duration,
+    kernel: KernelKind,
+    session: &mut Session,
+) -> Measurement {
+    let scale = session.scale();
+    session.measure(&TestbedConfig {
         policy,
         sampling_period: period,
         kernel,
@@ -18,11 +25,17 @@ fn measure(policy: Policy, period: Duration, kernel: KernelKind, scale: &Scale) 
         seed: scale.seed,
         ..Default::default()
     })
-    .expect("testbed run failed")
 }
 
-/// The Figure 30 measurement grid: {CF, BF(32)} × {10 ms, 30 ms}.
+/// The Figure 30 measurement grid: {CF, BF(32)} × {10 ms, 30 ms}, measured
+/// afresh.
 pub fn fig30_grid(scale: &Scale) -> Vec<(Policy, u64, Measurement)> {
+    fig30_grid_in(&mut Session::new(*scale))
+}
+
+/// [`fig30_grid`] through `session`: each cell is measured once per
+/// session (Figure 30 and Table 7 share it).
+pub fn fig30_grid_in(session: &mut Session) -> Vec<(Policy, u64, Measurement)> {
     let mut out = vec![];
     for &period_ms in &[10u64, 30] {
         for policy in [Policy::Cf, Policy::Bf { batch: 32 }] {
@@ -30,7 +43,7 @@ pub fn fig30_grid(scale: &Scale) -> Vec<(Policy, u64, Measurement)> {
                 policy,
                 Duration::from_millis(period_ms),
                 KernelKind::Bt,
-                scale,
+                session,
             );
             out.push((policy, period_ms, m));
         }
@@ -40,9 +53,9 @@ pub fn fig30_grid(scale: &Scale) -> Vec<(Policy, u64, Measurement)> {
 
 /// Reproduce Figure 30: measured daemon and main-process CPU time under CF
 /// vs BF at two sampling periods.
-pub fn run_fig30(scale: &Scale) {
+pub fn run_fig30(session: &mut Session) {
     heading("Figure 30: measured CPU overhead, CF vs BF(32) (bt_like kernel)");
-    let grid = fig30_grid(scale);
+    let grid = fig30_grid_in(session);
     let mut t = TextTable::new(vec![
         "sampling period",
         "policy",
@@ -88,9 +101,9 @@ pub fn run_fig30(scale: &Scale) {
 
 /// Reproduce Table 7: allocation of variation of scheduling policy vs
 /// sampling period, for daemon and main CPU times.
-pub fn run_table7(scale: &Scale) {
+pub fn run_table7(session: &mut Session) {
     heading("Table 7: variation explained — policy (A) vs sampling period (B)");
-    let grid = fig30_grid(scale);
+    let grid = fig30_grid_in(session);
     let mut pd = Design2kr::new(vec!["scheduling policy", "sampling period"]);
     let mut main = Design2kr::new(vec!["scheduling policy", "sampling period"]);
     for (policy, period, m) in &grid {
@@ -123,12 +136,14 @@ pub fn run_table7(scale: &Scale) {
     println!("paper conclusion: the scheduling policy dominates the IS overhead variation");
 }
 
-/// The Figure 31 measurement grid: {CF, BF(32)} × {pvmbt, pvmis}.
-pub fn fig31_grid(scale: &Scale) -> Vec<(Policy, KernelKind, Measurement)> {
+/// The Figure 31 measurement grid: {CF, BF(32)} × {pvmbt, pvmis}, measured
+/// once per session (Figure 31 and Table 8 share it; its bt_like cells are
+/// the Figure 30 grid's 10 ms cells).
+pub fn fig31_grid(session: &mut Session) -> Vec<(Policy, KernelKind, Measurement)> {
     let mut out = vec![];
     for kernel in [KernelKind::Bt, KernelKind::Is] {
         for policy in [Policy::Cf, Policy::Bf { batch: 32 }] {
-            let m = measure(policy, Duration::from_millis(10), kernel, scale);
+            let m = measure(policy, Duration::from_millis(10), kernel, session);
             out.push((policy, kernel, m));
         }
     }
@@ -137,9 +152,9 @@ pub fn fig31_grid(scale: &Scale) -> Vec<(Policy, KernelKind, Measurement)> {
 
 /// Reproduce Figure 31: normalized CPU occupancy per process, CF vs BF,
 /// for the two applications.
-pub fn run_fig31(scale: &Scale) {
+pub fn run_fig31(session: &mut Session) {
     heading("Figure 31: normalized CPU occupancy, CF vs BF(32), 10 ms sampling");
-    let grid = fig31_grid(scale);
+    let grid = fig31_grid(session);
     let mut t = TextTable::new(vec![
         "application",
         "policy",
@@ -162,9 +177,9 @@ pub fn run_fig31(scale: &Scale) {
 
 /// Reproduce Table 8: allocation of variation of scheduling policy vs
 /// application program.
-pub fn run_table8(scale: &Scale) {
+pub fn run_table8(session: &mut Session) {
     heading("Table 8: variation explained — policy (A) vs application (B)");
-    let grid = fig31_grid(scale);
+    let grid = fig31_grid(session);
     let mut pd = Design2kr::new(vec!["scheduling policy", "application program"]);
     let mut main = Design2kr::new(vec!["scheduling policy", "application program"]);
     for (policy, kernel, m) in &grid {

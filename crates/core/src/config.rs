@@ -386,11 +386,14 @@ impl SimConfig {
         if self.batch > 4096 {
             return Err("batch size unreasonably large (> 4096)".into());
         }
-        if self.sampling_period_us <= 0.0 {
-            return Err("sampling period must be positive".into());
+        if !positive_finite(self.sampling_period_us) {
+            return Err("sampling period must be positive and finite".into());
         }
-        if self.duration_s <= 0.0 {
-            return Err("duration must be positive".into());
+        if !positive_finite(self.duration_s) {
+            return Err("duration must be positive and finite".into());
+        }
+        if self.params.pipe_capacity == 0 {
+            return Err("pipe capacity must be >= 1".into());
         }
         if self.pds == 0 {
             return Err("need at least one daemon".into());
@@ -414,8 +417,8 @@ impl SimConfig {
             ));
         }
         if let Some(t) = self.batch_timeout_us {
-            if t <= 0.0 {
-                return Err("batch timeout must be positive".into());
+            if !positive_finite(t) {
+                return Err("batch timeout must be positive and finite".into());
             }
         }
         if let Some(a) = &self.adaptive {
@@ -428,8 +431,8 @@ impl SimConfig {
             if !(0.0..=1.0).contains(&a.target_pd_util) || a.target_pd_util == 0.0 {
                 return Err("adaptive target utilization must be in (0, 1]".into());
             }
-            if a.interval_us <= 0.0 {
-                return Err("adaptive interval must be positive".into());
+            if !positive_finite(a.interval_us) {
+                return Err("adaptive interval must be positive and finite".into());
             }
             if self.params.pipe_capacity < a.max_batch && self.batch_timeout_us.is_none() {
                 return Err(
@@ -514,9 +517,83 @@ impl SimConfig {
     }
 }
 
+/// `x > 0` and finite: the NaN-safe form of a positivity check (`x <= 0.0`
+/// is false for NaN, so a plain negated comparison lets NaN through).
+fn positive_finite(x: f64) -> bool {
+    x > 0.0 && x.is_finite()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The non-positive, NaN and infinite values every positive-finite
+    /// float field must reject.
+    const NOT_POSITIVE_FINITE: [f64; 5] = [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    #[test]
+    fn sampling_period_must_be_positive_and_finite() {
+        for v in NOT_POSITIVE_FINITE {
+            let cfg = SimConfig {
+                sampling_period_us: v,
+                ..Default::default()
+            };
+            assert!(cfg.validate().is_err(), "sampling_period_us = {v}");
+        }
+    }
+
+    #[test]
+    fn duration_must_be_positive_and_finite() {
+        for v in NOT_POSITIVE_FINITE {
+            let cfg = SimConfig {
+                duration_s: v,
+                ..Default::default()
+            };
+            assert!(cfg.validate().is_err(), "duration_s = {v}");
+        }
+    }
+
+    #[test]
+    fn batch_timeout_must_be_positive_and_finite() {
+        for v in NOT_POSITIVE_FINITE {
+            let cfg = SimConfig {
+                batch_timeout_us: Some(v),
+                ..Default::default()
+            };
+            assert!(cfg.validate().is_err(), "batch_timeout_us = {v}");
+        }
+    }
+
+    #[test]
+    fn adaptive_interval_must_be_positive_and_finite() {
+        SimConfig {
+            adaptive: Some(AdaptiveBatch::default()),
+            ..Default::default()
+        }
+        .validate()
+        .unwrap();
+        for v in NOT_POSITIVE_FINITE {
+            let cfg = SimConfig {
+                adaptive: Some(AdaptiveBatch {
+                    interval_us: v,
+                    ..Default::default()
+                }),
+                ..Default::default()
+            };
+            assert!(cfg.validate().is_err(), "adaptive.interval_us = {v}");
+        }
+    }
+
+    #[test]
+    fn zero_pipe_capacity_is_rejected_even_with_a_flush_timeout() {
+        let mut cfg = SimConfig {
+            batch_timeout_us: Some(1_000.0),
+            ..Default::default()
+        };
+        cfg.validate().unwrap();
+        cfg.params.pipe_capacity = 0;
+        assert!(cfg.validate().is_err());
+    }
 
     #[test]
     fn default_is_valid_typical_case() {

@@ -6,9 +6,9 @@
 //! own [`paradyn_des::Streams`] stream (one stream id per replication
 //! index), so a replication's randomness is a pure function of
 //! `(master seed, index)` and never of execution order. [`run_many`]
-//! exploits that with `std::thread::scope`, statically partitioning the
-//! index space across worker threads — the results are **bit-identical**
-//! to the serial path at any thread count, which `tests/` asserts.
+//! exploits that with `std::thread::scope`, handing out indices to worker
+//! threads one at a time — the results are **bit-identical** to the
+//! serial path at any thread count, which `tests/` asserts.
 
 use crate::config::SimConfig;
 use crate::metrics::SimMetrics;
@@ -16,6 +16,7 @@ use crate::model::snapshot::warm_snapshot;
 use crate::model::{build, RoccModel};
 use paradyn_des::{CalendarKind, Sim, SimTime, SnapError, Streams};
 use paradyn_stats::{mean_ci, MeanCi};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Run one simulation to its configured horizon.
 ///
@@ -119,23 +120,48 @@ pub fn default_threads() -> usize {
 /// its own configuration, so the output is bit-identical to running the
 /// slice serially, at any thread count.
 pub fn run_many(cfgs: &[SimConfig], threads: usize) -> Vec<SimMetrics> {
-    let threads = threads.max(1).min(cfgs.len().max(1));
-    if threads == 1 {
-        return cfgs.iter().map(run).collect();
+    par_map(cfgs, threads, run)
+}
+
+/// Map `f` over `items` on up to `threads` scoped threads, returning the
+/// results in input order. Workers claim the next unclaimed index from a
+/// shared counter, so a batch mixing short and long runs keeps every
+/// thread busy until the queue drains; each result lands in its input's
+/// slot, so the output does not depend on which thread ran what.
+fn par_map<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let threads = threads.max(1).min(items.len());
+    if threads <= 1 {
+        return items.iter().map(f).collect();
     }
-    let mut out: Vec<Option<SimMetrics>> = vec![None; cfgs.len()];
-    let chunk = cfgs.len().div_ceil(threads);
+    // Relaxed suffices: the counter only hands out indices, and results
+    // reach this thread through `join`.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = vec![];
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(item)));
+        }
+    };
+    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     std::thread::scope(|s| {
-        for (cfg_chunk, out_chunk) in cfgs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (c, slot) in cfg_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(run(c));
+        let workers: Vec<_> = (0..threads).map(|_| s.spawn(worker)).collect();
+        for w in workers {
+            match w.join() {
+                Ok(done) => {
+                    for (i, r) in done {
+                        out[i] = Some(r);
+                    }
                 }
-            });
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
     });
     out.into_iter()
-        .map(|m| m.expect("scoped worker completed"))
+        .map(|r| r.expect("every index is claimed by exactly one worker"))
         .collect()
 }
 
@@ -161,32 +187,15 @@ pub fn run_forked(
     let snap = warm_snapshot(cfg, SimTime::from_secs_f64(warmup_s), kind)?;
     let horizon = SimTime::from_secs_f64(cfg.duration_s);
     let salts: Vec<u64> = (0..reps).map(|r| replication_seed(cfg.seed, r)).collect();
-    let work = |salt: u64| -> Result<SimMetrics, SnapError> {
+    par_map(&salts, threads, |&salt| -> Result<SimMetrics, SnapError> {
         let mut sim = Sim::restore(RoccModel::new(cfg.clone()), kind, &snap)?;
         sim.model.perturb_streams(salt);
         sim.run_until(horizon);
         let events = sim.executed_events();
         Ok(sim.model.metrics(horizon - SimTime::ZERO, events))
-    };
-    let threads = threads.max(1).min(reps.max(1));
-    if threads == 1 {
-        return salts.iter().map(|&s| work(s)).collect();
-    }
-    let mut out: Vec<Option<Result<SimMetrics, SnapError>>> = (0..reps).map(|_| None).collect();
-    let chunk = reps.div_ceil(threads);
-    let work = &work;
-    std::thread::scope(|s| {
-        for (salt_chunk, out_chunk) in salts.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (&salt, slot) in salt_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(work(salt));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|m| m.expect("scoped worker completed"))
-        .collect()
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Reference oracle for [`run_forked`]: build `cfg` from zero, run to the

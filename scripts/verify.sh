@@ -189,6 +189,21 @@ cargo run --release --offline -p paradyn-bench --bin repro -- --scale quick faul
 echo "== degradation smoke (repro degradation, quick scale) =="
 cargo run --release --offline -p paradyn-bench --bin repro -- --scale quick degradation
 
+echo "== session reuse (repro table4 fig16: one factorial, run once) =="
+# Figure 16 is the allocation of variation of Table 4's factorial, so in
+# one process its 16 runs (2^4 cells x 1 rep) must all come from the
+# session store. Checked by counts, not by time.
+reuse_err="$(mktemp)"
+cargo run --release --offline -q -p paradyn-bench --bin repro -- \
+  --scale quick --reps 1 --sim-secs 0.2 table4 fig16 > /dev/null 2> "$reuse_err"
+grep -q "simulation runs 16 computed, 16 reused" "$reuse_err" || {
+  echo "verify: FAIL — repro table4 fig16 did not reuse the factorial:" >&2
+  cat "$reuse_err" >&2
+  exit 1
+}
+rm -f "$reuse_err"
+echo "session reuse: 16 runs computed, 16 reused"
+
 echo "== bench smoke (every bench once, short mode) =="
 smoke_json="$(mktemp)"
 for b in des_engine rocc_model policies stats_kernels time_repr; do
