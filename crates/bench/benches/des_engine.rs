@@ -1,6 +1,6 @@
 //! Kernel benchmarks: raw event-calendar throughput (DESIGN.md ablations
 //! 1–2: integer time + typed events), run against **both** calendar
-//! backends — the O(1) timing wheel and the legacy binary heap — plus the
+//! backends — the ring calendar and the legacy binary heap — plus the
 //! `model_path` group: the full ROCC model (NOW contention-free sweep) at
 //! three sizes, so end-to-end throughput is a first-class ratchet artifact
 //! and not just the calendar microbenches.
@@ -61,6 +61,7 @@ fn occupancy_json(s: CalendarStats) -> Json {
         ("live".into(), Json::num(s.live as f64)),
         ("occupied_buckets".into(), Json::num(s.occupied_buckets as f64)),
         ("slab_slots".into(), Json::num(s.slab_slots as f64)),
+        ("arena_slots".into(), Json::num(s.arena_slots as f64)),
     ])
 }
 

@@ -2,10 +2,10 @@
 //!
 //! The kernel is deliberately monomorphic: a model defines a plain `enum` of
 //! events and implements [`Model::handle`]. Events are never boxed, the
-//! calendar (a hierarchical timing wheel by default, with the legacy binary
-//! heap as a fallback — see [`crate::calendar`]) delivers them in
-//! `(time, sequence)` order with ties broken in schedule order, so a given
-//! model + seed is fully deterministic regardless of the backend.
+//! calendar (a ring calendar over a recycled entry arena by default, with
+//! the legacy binary heap as a fallback — see [`crate::calendar`]) delivers
+//! them in `(time, sequence)` order with ties broken in schedule order, so a
+//! given model + seed is fully deterministic regardless of the backend.
 
 use crate::calendar::{Calendar, CalendarKind, CalendarStats};
 use crate::snapshot::{self, Dec, Enc, Persist, PersistState, SnapError};
@@ -234,8 +234,8 @@ impl<E> Ctx<E> {
     }
 
     /// Occupancy/health counters of the calendar (slab size, cancelled
-    /// backlog, bucket occupancy). Cheap enough for test assertions and
-    /// bench reporting.
+    /// backlog, list occupancy, arena size). Cheap enough for test
+    /// assertions and bench reporting.
     pub fn calendar_stats(&self) -> CalendarStats {
         self.calendar.stats()
     }
@@ -437,12 +437,12 @@ pub struct Sim<M: Model> {
 
 impl<M: Model> Sim<M> {
     /// Create a driver around `model` with an empty calendar at time zero.
-    /// Uses the timing wheel unless `PARADYN_CALENDAR=heap` is set.
+    /// Uses the ring calendar unless `PARADYN_CALENDAR=heap` is set.
     pub fn new(model: M) -> Self {
         Sim::with_calendar(model, CalendarKind::default_from_env())
     }
 
-    /// Create a driver with an explicit calendar backend (the wheel is the
+    /// Create a driver with an explicit calendar backend (the ring is the
     /// default; the heap is the fallback/differential-testing oracle).
     pub fn with_calendar(model: M, kind: CalendarKind) -> Self {
         Sim {
@@ -570,10 +570,10 @@ impl<M: Model> Sim<M> {
         loop {
             self.ctx.calendar.drain_batch_at(at, &mut buf);
             if buf.is_empty() {
-                // Same-instant events can still be in an unstaged bucket
-                // (scheduled mid-batch, or staging was dirty): one
-                // ordinary pop re-stages and delivers the next, then
-                // draining resumes. `None` ends the instant.
+                // Same-instant events can still sit in a list not yet
+                // moved into the delivery run: one ordinary pop moves and
+                // delivers the next, then draining resumes. `None` ends
+                // the instant.
                 match self.ctx.pop_next_before(at) {
                     Some((t, ev)) => {
                         debug_assert_eq!(t, at);

@@ -3,7 +3,7 @@
 //!
 //! The simulation substrate for the Paradyn instrumentation-system study:
 //! a deterministic, monomorphic event calendar ([`engine`], backed by the
-//! hierarchical timing wheel in [`calendar`]), an integer nanosecond clock
+//! ring calendar in [`calendar`]), an integer nanosecond clock
 //! ([`time`]), reproducible independent random streams ([`rng`]),
 //! statistics monitors ([`monitor`]), and reusable resource state machines
 //! — an FCFS single server ([`fcfs`]) and a round-robin quantum CPU bank
@@ -13,8 +13,8 @@
 //! * **Integer time** — exact event ordering, bit-reproducible runs.
 //! * **Typed events** — models define an event `enum`; nothing is boxed on
 //!   the hot path.
-//! * **O(1) calendar** — a timing wheel keyed on the nanosecond clock with
-//!   generation-stamped cancellation; the legacy binary heap remains as
+//! * **O(1) calendar** — a ring of time windows over a recycled entry arena,
+//!   with generation-stamped cancellation; the legacy binary heap remains as
 //!   [`CalendarKind::Heap`] and as the differential-testing oracle.
 //! * **Resources as pure state machines** — they own no events; the model
 //!   schedules exactly one completion/slice event per started service, which
@@ -56,7 +56,7 @@ pub mod shard;
 pub mod snapshot;
 pub mod time;
 
-pub use calendar::{CalendarKind, CalendarStats};
+pub use calendar::{CalendarKind, CalendarStats, RING_SPAN_NS, RING_WINDOWS, WINDOW_NS};
 pub use engine::{Ctx, EventHandle, Model, Sim};
 pub use fault::FaultSchedule;
 pub use fcfs::{FcfsServer, Offer};

@@ -1,21 +1,17 @@
 //! Steady-state zero-allocation gate for the DES hot path (DESIGN.md §10).
 //!
 //! After a warmup long enough for every buffer on the delivery loop to
-//! reach its stable capacity — wheel buckets across all levels the
-//! workload's placement pattern can reach, the staged queue, the engine's
-//! batch buffer, the slot slab, the heap backend's `BinaryHeap` — a
-//! steady-state window of ~10^5 delivered events must produce **zero**
-//! heap operations, for both calendar backends.
+//! reach its stable capacity — the ring calendar's entry arena, its `due`
+//! run and overflow heap, the engine's batch buffer, the slot slab, the
+//! heap backend's `BinaryHeap` — a steady-state window of ~10^5 delivered
+//! events must produce **zero** heap operations, for both calendar
+//! backends.
 //!
-//! The warmup length is geometry-driven, not arbitrary: a wheel bucket
-//! allocates its storage on first use, and level-*l* bucket indexes only
-//! recur once the cursor wraps that level (64^(l+1) level-0 spans). With
-//! 64-ns level-0 buckets, one full level-2 wrap is 64^3·64 ns ≈ 16.8 ms of
-//! simulated time, so the warmup runs past it; the measured window then
-//! stays clear of the first level-3 boundary crossing after warmup
-//! (2·64^3·64 ns ≈ 33.6 ms). A shorter warmup fails honestly: fresh
-//! level-2 buckets first touched inside the window would each cost one
-//! allocation.
+//! The ring's window and sub-window lists are threaded through the arena,
+//! so its storage depends only on the peak number of pending entries and
+//! the densest 64 ns sub-window, never on which windows the workload
+//! touches. A few milliseconds of this timer pattern reach both peaks;
+//! the 18 ms warmup below covers that with a wide margin.
 //!
 //! This is the cause-side gate for the `hot-path-alloc` lint rule and the
 //! perf ratchet: wall-clock benches show the symptom of an alloc
@@ -31,9 +27,9 @@ use std::sync::Arc;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// 64 free-running timers with deterministic, id-staggered gaps around
-/// 5 µs: keeps the calendar populated and shuffled, cycles every level-0/1
-/// bucket index many times per millisecond, and exercises the same
-/// schedule/pop path as the model workloads.
+/// 5 µs: keeps the calendar populated and shuffled, cycles through every
+/// ring window many times per second, and exercises the same schedule/pop
+/// path as the model workloads.
 struct Timers;
 
 impl Model for Timers {
@@ -48,10 +44,9 @@ impl Model for Timers {
 /// returns (heap operations in window, events delivered in window).
 fn steady_state(kind: CalendarKind) -> (u64, u64) {
     const TIMERS: u32 = 64;
-    // Past the first full level-2 wrap (≈16.8 ms) and the first level-3
-    // boundary (also ≈16.8 ms), so both have stable storage.
+    // Thousands of timer periods: every buffer has reached its peak.
     const WARMUP: u64 = 18_000_000;
-    // Window end stays short of the next level-3 crossing at ≈33.6 ms.
+    // About 10 ms of steady state, well over the event floor below.
     const END: u64 = 28_000_000;
 
     let mut sim = Sim::with_calendar(Timers, kind);

@@ -11,6 +11,15 @@ cargo build --release --offline
 echo "== cargo test -q --offline =="
 cargo test -q --offline
 
+echo "== des crate: calendar unit tests and the serial zero-alloc gate =="
+# `cargo test` at the root runs the root package only; the des crate's own
+# unit tests and its steady-state allocation gate run here. The gate runs
+# on its own: the counting allocator is process-global, so another test
+# running alongside would add its allocations to the count.
+cargo test -q --release --offline -p paradyn-des --lib
+cargo test -q --release --offline -p paradyn-des --test zero_alloc -- \
+  --exact steady_state_is_allocation_free_on_both_backends
+
 echo "== paradyn-lint (determinism / no-panic / hermeticity gate) =="
 lint_json="$(mktemp)"
 lint_t0="$(date +%s%N)"

@@ -1,13 +1,15 @@
-//! Differential property tests: the timing-wheel calendar must be
-//! observationally identical to the binary-heap oracle — same `(time,
-//! event)` trace (including tie order), same executed/pending counts, and
-//! no slab residue after a full drain — under random schedule/cancel/run
-//! sequences spanning every wheel level.
+//! Differential property tests: the ring calendar must be observationally
+//! identical to the binary-heap oracle — same `(time, event)` trace
+//! (including tie order), same executed/pending counts, and no slab
+//! residue after a full drain — under random schedule/cancel/run sequences
+//! spanning the current window, the ring, and the overflow beyond it.
 //!
 //! Runs on the in-tree `paradyn_stats::check` harness. Rerun a reported
 //! failure with `PARADYN_PROP_SEED=<seed> cargo test <property name>`.
 
-use paradyn_des::{CalendarKind, Ctx, EventHandle, Model, Sim, SimDur, SimTime};
+use paradyn_des::{
+    CalendarKind, Ctx, EventHandle, Model, Sim, SimDur, SimTime, RING_SPAN_NS, WINDOW_NS,
+};
 use paradyn_stats::{check, prop_assert, prop_assert_eq};
 
 /// Records every delivered event with its firing time.
@@ -33,9 +35,21 @@ enum Op {
     Run { dur: u64 },
 }
 
-/// Delay scales that exercise placement at distinct wheel levels, from the
-/// staged/due fast path (0–63 ns) up past the 1 << 36 overflow levels.
-const SCALES: [u64; 6] = [1, 64, 4096, 262_144, 1 << 24, 1 << 36];
+/// Delay scales: six spread from 1 ns to 2^36 ns, then the ring's own
+/// geometry — the window width, and the ring span with one window either
+/// side of it, where placement flips between ring and overflow.
+const SCALES: [u64; 10] = [
+    1,
+    64,
+    4096,
+    262_144,
+    1 << 24,
+    1 << 36,
+    WINDOW_NS,
+    RING_SPAN_NS - WINDOW_NS,
+    RING_SPAN_NS,
+    RING_SPAN_NS + WINDOW_NS,
+];
 
 fn gen_ops(g: &mut paradyn_stats::Gen) -> Vec<Op> {
     let n = g.usize_in(1, 120);
@@ -173,6 +187,140 @@ fn pending_count_matches_reference() {
                 );
             }
         }
+        Ok(())
+    });
+}
+
+/// Timers rescheduled at most this far ahead: the whole bank stays within
+/// an eighth of a window, so one window always holds most of it.
+const DENSE_GAP: u64 = WINDOW_NS / 8;
+
+/// Operations per dense-window case.
+const MAX_OPS: usize = 24;
+
+/// A dense bank of self-rescheduling timers (ids below `handles.len()`)
+/// plus one-shot events (higher ids): each timer firing re-arms itself a
+/// short, varying gap later until `budget` runs out.
+struct Dense {
+    trace: Vec<(u64, u32)>,
+    handles: Vec<EventHandle>,
+    budget: u64,
+}
+
+impl Model for Dense {
+    type Event = u32;
+    fn handle(&mut self, ctx: &mut Ctx<u32>, id: u32) {
+        self.trace.push((ctx.now().as_nanos(), id));
+        if (id as usize) < self.handles.len() && self.budget > 0 {
+            self.budget -= 1;
+            // Gaps from 0 ns: same-instant ties are common.
+            let gap = (id as u64 * 2_654_435_761 + self.budget) % DENSE_GAP;
+            self.handles[id as usize] = ctx.schedule_in(SimDur::from_nanos(gap), id);
+        }
+    }
+}
+
+/// A dense-window run: 1024+ timers live inside one window, one-shot
+/// events around the ring span (so they migrate from the overflow while
+/// the bank is live), cancels of both kinds, and horizon stops.
+struct DenseCase {
+    timers: u32,
+    budget: u64,
+    one_shots: Vec<u64>,
+    ops: Vec<Op>,
+}
+
+fn gen_dense(g: &mut paradyn_stats::Gen) -> DenseCase {
+    let timers = g.u64_in(1024, 1100) as u32;
+    let one_shots = (0..g.usize_in(1, 12))
+        .map(|_| RING_SPAN_NS - WINDOW_NS + g.u64_in(0, 3 * WINDOW_NS))
+        .collect();
+    // At most MAX_OPS cancels, and horizon stops that together stay
+    // inside the budget's first window.
+    let ops = (0..g.usize_in(1, MAX_OPS))
+        .map(|_| match g.u64_in(0, 3) {
+            0 => Op::Cancel {
+                idx: g.usize_in(0, 4096),
+            },
+            _ => Op::Run {
+                dur: g.u64_in(0, DENSE_GAP / 2),
+            },
+        })
+        .collect();
+    DenseCase {
+        timers,
+        // Firings for about two and a half windows (the mean gap is
+        // DENSE_GAP / 2): the one-shots migrate while the bank is live.
+        budget: 5 * WINDOW_NS * timers as u64 / DENSE_GAP,
+        one_shots,
+        ops,
+    }
+}
+
+fn drive_dense(kind: CalendarKind, case: &DenseCase) -> (Sim<Dense>, usize) {
+    let model = Dense {
+        trace: vec![],
+        handles: vec![],
+        budget: case.budget,
+    };
+    let mut sim = Sim::with_calendar(model, kind);
+    for id in 0..case.timers {
+        let h = sim
+            .ctx()
+            .schedule_at(SimTime::from_nanos(id as u64 % DENSE_GAP), id);
+        sim.model.handles.push(h);
+    }
+    let mut one_shots = vec![];
+    for (i, &at) in case.one_shots.iter().enumerate() {
+        let id = case.timers + i as u32;
+        one_shots.push(sim.ctx().schedule_at(SimTime::from_nanos(at), id));
+    }
+    let mut min_pending = usize::MAX;
+    for op in &case.ops {
+        match *op {
+            Op::Cancel { idx } => {
+                // Timers (possibly stale handles) and one-shots alike.
+                let n = sim.model.handles.len() + one_shots.len();
+                let k = idx % n;
+                let h = match sim.model.handles.get(k) {
+                    Some(&h) => h,
+                    None => one_shots[k - sim.model.handles.len()],
+                };
+                sim.ctx().cancel(h);
+            }
+            Op::Run { dur } => {
+                let horizon = sim.now() + SimDur::from_nanos(dur);
+                sim.run_until(horizon);
+                min_pending = min_pending.min(sim.ctx().pending_events());
+            }
+            Op::Schedule { .. } => unreachable!("not generated for dense cases"),
+        }
+    }
+    sim.run_until(SimTime::MAX);
+    (sim, min_pending)
+}
+
+/// Over a thousand timers live inside one window — the ordered current
+/// window under heavy out-of-order insertion, with cancels and horizon
+/// stops — while one-shot events cross from the overflow into the ring:
+/// the trace still matches the heap oracle's bit for bit.
+#[test]
+fn dense_window_matches_heap_oracle() {
+    check("dense_window_matches_heap_oracle", |g| {
+        let case = gen_dense(g);
+        let (mut wheel, min_pending) = drive_dense(CalendarKind::Wheel, &case);
+        let (heap, _) = drive_dense(CalendarKind::Heap, &case);
+        prop_assert!(
+            min_pending >= 1024 - MAX_OPS,
+            "bank thinned to {min_pending} live events"
+        );
+        prop_assert_eq!(&wheel.model.trace, &heap.model.trace);
+        prop_assert_eq!(wheel.executed_events(), heap.executed_events());
+        let s = wheel.ctx().calendar_stats();
+        prop_assert!(
+            (s.live, s.cancelled_pending, s.occupied_buckets) == (0, 0, 0),
+            "drained ring left residue: {s:?}"
+        );
         Ok(())
     });
 }
