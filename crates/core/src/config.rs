@@ -2,9 +2,51 @@
 //! configuration, the experiment factors of Section 4.1, and the
 //! fault-injection plan for graceful-degradation studies.
 
+use crate::model::types::MAX_PDS;
 use crate::pipe::OverflowPolicy;
 use paradyn_workload::{AppProfile, ReplaySchedule, RoccParams};
 use std::sync::Arc;
+
+/// Why [`SimConfig::validate`] rejected a configuration.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// More daemons than a batch token can name (`pd` occupies
+    /// [`crate::model::types::TOKEN_PD_BITS`] bits of the token).
+    TooManyDaemons {
+        /// Daemons the configuration asks for.
+        daemons: usize,
+        /// Daemons the token layout can name.
+        max: usize,
+    },
+    /// Any other violated invariant, described for a human.
+    Invalid(String),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::TooManyDaemons { daemons, max } => write!(
+                f,
+                "{daemons} daemons exceed the {max} a batch token can name"
+            ),
+            ConfigError::Invalid(why) => f.write_str(why),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl From<&str> for ConfigError {
+    fn from(why: &str) -> Self {
+        ConfigError::Invalid(why.to_owned())
+    }
+}
+
+impl From<String> for ConfigError {
+    fn from(why: String) -> Self {
+        ConfigError::Invalid(why)
+    }
+}
 
 /// How instrumentation data travels from daemons to the main process on an
 /// MPP system (Figure 4).
@@ -372,8 +414,8 @@ impl SimConfig {
         }
     }
 
-    /// Validate invariants; returns a human-readable complaint if invalid.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Validate invariants; returns why the configuration is invalid.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.nodes == 0 {
             return Err("need at least one node".into());
         }
@@ -414,7 +456,8 @@ impl SimConfig {
                 "pipe capacity {} smaller than batch size {} would deadlock BF \
                  (set batch_timeout_us to allow partial flushes)",
                 self.params.pipe_capacity, self.batch
-            ));
+            )
+            .into());
         }
         if let Some(t) = self.batch_timeout_us {
             if !positive_finite(t) {
@@ -469,7 +512,8 @@ impl SimConfig {
                 return Err(format!(
                     "degradation tiers must be in 1..={}",
                     crate::metrics::MAX_TIERS
-                ));
+                )
+                .into());
             }
             if d.keep_tiers == 0 || d.keep_tiers > d.tiers {
                 return Err("degradation keep_tiers must satisfy 1 <= keep <= tiers".into());
@@ -496,8 +540,11 @@ impl SimConfig {
                 );
             }
         }
-        if self.total_pds() > (1 << 20) {
-            return Err("daemon count exceeds the token namespace (2^20)".into());
+        if self.total_pds() > MAX_PDS {
+            return Err(ConfigError::TooManyDaemons {
+                daemons: self.total_pds(),
+                max: MAX_PDS,
+            });
         }
         if self.params.min_forward_us <= 0.0 {
             return Err("min_forward_us must be positive".into());
@@ -593,6 +640,46 @@ mod tests {
         cfg.validate().unwrap();
         cfg.params.pipe_capacity = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn daemon_count_is_bounded_by_the_token_layout() {
+        let max = crate::model::types::MAX_PDS;
+        let at_bound = SimConfig {
+            arch: Arch::Smp,
+            apps_per_node: max,
+            pds: max,
+            ..Default::default()
+        };
+        at_bound.validate().unwrap();
+        let over = SimConfig {
+            apps_per_node: max + 1,
+            pds: max + 1,
+            ..at_bound.clone()
+        };
+        assert_eq!(
+            over.validate(),
+            Err(ConfigError::TooManyDaemons {
+                daemons: max + 1,
+                max
+            })
+        );
+        // NOW/MPP run one daemon per node: the node count is bounded too.
+        let nodes = SimConfig {
+            arch: Arch::Mpp {
+                forwarding: Forwarding::Direct,
+            },
+            nodes: 1 << 20,
+            ..Default::default()
+        };
+        assert!(matches!(
+            nodes.validate(),
+            Err(ConfigError::TooManyDaemons { daemons, .. }) if daemons == 1 << 20
+        ));
+        // The largest daemon index still fits the token's pd field.
+        let last = max as u32 - 1;
+        let token = last << crate::model::types::TOKEN_CTR_BITS;
+        assert_eq!(crate::model::types::token_pd(token), last);
     }
 
     #[test]

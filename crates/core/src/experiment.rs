@@ -24,24 +24,30 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// [`crate::shard::shardable`], the run executes on the sharded driver
 /// ([`crate::shard::run_sharded`]) with `PARADYN_SHARD_THREADS` OS
 /// threads (default 1) — the metrics are bit-identical to the serial
-/// engine either way.
+/// engine either way. A sharded run whose token windows outgrew the plain
+/// counter ([`crate::model::types::TokenTable::attach_wide`]) may have
+/// aliased tokens, so it is discarded and the run repeated serially.
 ///
 /// # Panics
 /// Panics on an invalid configuration.
 pub fn run(cfg: &SimConfig) -> SimMetrics {
     let horizon = SimTime::from_secs_f64(cfg.duration_s);
     let shards = default_shards();
-    let sim = if shards > 1 && crate::shard::shardable(cfg) {
+    let sharded = (shards > 1 && crate::shard::shardable(cfg)).then(|| {
         crate::shard::run_sharded(
             cfg,
             CalendarKind::default_from_env(),
             shards,
             default_shard_threads(),
         )
-    } else {
-        let mut sim = build(cfg);
-        sim.run_until(horizon);
-        sim
+    });
+    let sim = match sharded {
+        Some(sim) if !sim.model.tokens.attach_wide() => sim,
+        _ => {
+            let mut sim = build(cfg);
+            sim.run_until(horizon);
+            sim
+        }
     };
     let events = sim.executed_events();
     sim.model.metrics(horizon - SimTime::ZERO, events)

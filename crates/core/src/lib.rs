@@ -40,8 +40,8 @@ pub mod shard;
 pub mod validate;
 
 pub use config::{
-    AdaptiveBatch, Arch, ConsumerStallFaults, DaemonCrashFaults, DegradationConfig, FaultPlan,
-    Forwarding, LinkFaults, OverloadRamp, SampleTiming, SimConfig,
+    AdaptiveBatch, Arch, ConfigError, ConsumerStallFaults, DaemonCrashFaults, DegradationConfig,
+    FaultPlan, Forwarding, LinkFaults, OverloadRamp, SampleTiming, SimConfig,
 };
 pub use experiment::{
     default_threads, replication_seed, run, run_forked, run_many, run_perturbed_from_zero,

@@ -23,7 +23,9 @@ impl RoccModel {
     /// a cycle started.
     fn try_collect(&mut self, ctx: &mut Ctx<Ev>, pd: PdId, force: bool) -> bool {
         let d = &mut self.daemons.hot[pd as usize];
-        if d.collecting || d.down {
+        // Past the token bound the collect waits until the daemon's oldest
+        // batch is consumed (`consume_token` retries it).
+        if d.collecting || d.down || !self.tokens.can_alloc(pd) {
             return false;
         }
         let threshold = d.batch;
@@ -176,7 +178,7 @@ impl RoccModel {
             // pipe slots were still freed above — the samples are gone,
             // not stuck.
             self.daemons.hot[pd as usize].doomed = false;
-            let batch = self.tokens.remove(token).expect("collect token live");
+            let batch = self.consume_token(ctx, token).expect("collect token live");
             self.accs[self.cell].lost_crash += batch.count as u64;
             self.daemons.cold[pd as usize]
                 .fault_mon
@@ -222,7 +224,7 @@ impl RoccModel {
                     b.attempts
                 };
                 if attempts > link.max_retries {
-                    let batch = self.tokens.remove(token).expect("forward token live");
+                    let batch = self.consume_token(ctx, token).expect("forward token live");
                     self.accs[self.cell].lost_link += batch.count as u64;
                     self.daemons.cold[pd as usize]
                         .fault_mon

@@ -519,11 +519,25 @@ impl RoccModel {
         );
     }
 
+    /// Consume a live batch. A daemon at the token layout's bound
+    /// ([`types::MAX_LIVE_PER_PD`] allocations in flight) defers its
+    /// collects; consuming its oldest batch frees a token, so the deferred
+    /// collect is retried here. Sharded runs skip the retry: the daemon
+    /// may live in another shard.
+    pub(crate) fn consume_token(&mut self, ctx: &mut Ctx<Ev>, token: Token) -> Option<Batch> {
+        let pd = types::token_pd(token);
+        let was_full = self.shard.is_none() && !self.tokens.can_alloc(pd);
+        let batch = self.tokens.remove(token)?;
+        if was_full && self.tokens.can_alloc(pd) {
+            self.maybe_collect(ctx, pd);
+        }
+        Some(batch)
+    }
+
     /// Main-process handling finished: the batch is consumed.
     fn main_recv_done(&mut self, ctx: &mut Ctx<Ev>, token: Token) {
         let batch = self
-            .tokens
-            .remove(token)
+            .consume_token(ctx, token)
             .expect("consumed token must be live");
         self.accs[self.cell].latency_sum_s += batch.mean_latency_s(ctx.now()) * batch.count as f64;
         self.accs[self.cell].fwd_latency_sum_s += batch.forwarding_latency_s(ctx.now());

@@ -2,6 +2,7 @@
 
 use paradyn_des::SimTime;
 use paradyn_workload::ProcessClass;
+use std::collections::VecDeque;
 
 /// Global application-process index.
 pub type AppId = u32;
@@ -9,117 +10,264 @@ pub type AppId = u32;
 /// Daemon index.
 pub type PdId = u32;
 
-/// Token identifying an in-flight batch of samples. Shard-stable encoding:
-/// the high bits name the allocating daemon, the low [`TOKEN_CTR_BITS`]
-/// bits are that daemon's private wrapping counter — so a token value is a
-/// pure function of the allocator's own history, identical whether the run
-/// is serial or sharded (DESIGN.md §11).
+/// Token identifying an in-flight batch of samples. Its value depends
+/// only on the allocating daemon's own batches, never on how other
+/// daemons' events interleave (DESIGN.md §10). Two layouts share the
+/// `u32`:
+///
+/// * **plain** — `pd << 12 | ctr`, where `ctr` is the low
+///   [`TOKEN_CTR_BITS`] bits of the daemon's allocation sequence number.
+///   Every token is plain while the daemon's live batches span fewer than
+///   4,096 allocations.
+/// * **extended** — `1 << 31 | epoch << 27 | pd << 12 | ctr`, issued once
+///   the plain counter could come round onto a live batch. `epoch:ctr` are
+///   the low 16 bits of the sequence number counted from the daemon's
+///   extension base, a multiple of 4,096 fixed at its first extended
+///   token, so the value depends only on the daemon's own history.
+///
+/// Live tokens are unique while each daemon's live batches span at most
+/// [`MAX_LIVE_PER_PD`] allocations; [`TokenTable::can_alloc`] refuses
+/// beyond that.
 pub type Token = u32;
 
-/// Low bits of a [`Token`] carrying the allocator's wrapping counter.
+/// Low bits of a [`Token`] carrying the allocation counter.
 pub const TOKEN_CTR_BITS: u32 = 12;
 
 /// Mask of the counter bits of a [`Token`].
 pub const TOKEN_CTR_MASK: u32 = (1 << TOKEN_CTR_BITS) - 1;
 
-/// Wrap-aware "allocated before" order on 12-bit token counters; a strict
-/// total order as long as the live window spans less than half the
-/// counter space (live batches per daemon are a handful).
+/// Bits of a [`Token`] naming the allocating daemon (bits 12..27).
+pub const TOKEN_PD_BITS: u32 = 15;
+
+/// Daemons the token layout can name; `SimConfig::validate` rejects more.
+pub const MAX_PDS: usize = 1 << TOKEN_PD_BITS;
+
+/// Flag bit of an extended [`Token`].
+pub const TOKEN_EXT: u32 = 1 << 31;
+
+/// Position of an extended token's epoch bits (bits 27..31).
+const TOKEN_EPOCH_SHIFT: u32 = TOKEN_CTR_BITS + TOKEN_PD_BITS;
+
+/// Sequence-number bits an extended token carries (epoch + counter).
+const EXT_SEQ_BITS: u32 = 16;
+
+/// Allocations a plain token's counter tells apart.
+const PLAIN_SPAN: u64 = 1 << TOKEN_CTR_BITS;
+
+/// Most allocations one daemon's live batches may span — and so the most
+/// batches it may hold in flight: an extended token tells this many apart.
+pub const MAX_LIVE_PER_PD: u64 = 1 << EXT_SEQ_BITS;
+
+/// The daemon that allocated token `t`.
 #[inline]
-fn ctr_before(a: u16, b: u16) -> bool {
-    let d = b.wrapping_sub(a) & TOKEN_CTR_MASK as u16;
-    d != 0 && d < (1 << (TOKEN_CTR_BITS - 1))
+pub fn token_pd(t: Token) -> PdId {
+    (t >> TOKEN_CTR_BITS) & (MAX_PDS as u32 - 1)
 }
 
-/// Arena of in-flight batches keyed by `(allocating daemon, counter)`,
-/// replacing per-event `HashMap` lookups with short per-daemon vectors.
-/// Each daemon's vector holds its live batches in allocation order (a few
-/// at a time), so lookups are tiny scans and iteration order — daemon
-/// index major, allocation order minor — is deterministic and independent
-/// of how shards interleave.
+/// The low 16 sequence bits (`epoch:ctr`) of an extended token.
+#[inline]
+fn ext_seq(t: Token) -> u64 {
+    ((((t >> TOKEN_EPOCH_SHIFT) & 0xF) << TOKEN_CTR_BITS) | (t & TOKEN_CTR_MASK)) as u64
+}
+
+/// One daemon's live batches in allocation order: slot `i` holds
+/// allocation `front + i` (`None` once consumed, or while a sharded run
+/// holds the batch in another shard's table). Consumed slots at the front
+/// are popped, so `front` is the oldest live allocation.
 #[derive(Default)]
-pub struct TokenTable {
-    /// Live batches per allocating daemon, in wrap-aware counter order.
-    slots: Vec<Vec<(u16, Batch)>>,
-    /// Next counter per daemon (wrapping 12-bit).
-    ctrs: Vec<u16>,
-    // lint:allow(snapshot-exempt): recomputed as the sum of slot lengths while load rebuilds the slots
-    live: usize,
+struct Lane {
+    win: VecDeque<Option<Batch>>,
+    /// Sequence number of `win[0]`.
+    front: u64,
+    /// Sequence number of the daemon's next allocation.
+    next: u64,
+    /// Origin of the extended numbering, set at the first extended token.
+    base: Option<u64>,
 }
 
-impl TokenTable {
-    /// One table slot per daemon, pre-sized for the steady-state handful
-    /// of concurrently live batches each daemon keeps in flight.
-    pub fn with_pds(pds: usize) -> TokenTable {
-        TokenTable {
-            slots: (0..pds).map(|_| Vec::with_capacity(8)).collect(),
-            ctrs: vec![0; pds],
-            live: 0,
+impl Lane {
+    /// Allocations made since the oldest live batch's, that one
+    /// included; 0 when none is live.
+    fn span(&self) -> u64 {
+        if self.win.is_empty() {
+            0
+        } else {
+            self.next.wrapping_sub(self.front)
         }
     }
 
-    /// Number of daemon slots (fixed by the configuration).
-    pub fn pds(&self) -> usize {
-        self.slots.len()
+    /// Window slot of token `t`. A plain token's allocation lies within
+    /// 4,096 of the oldest live one, an extended token's within 65,536.
+    /// `aliased` (a sharded table that outgrew the plain counter, see
+    /// [`TokenTable::attach_wide`]) resolves a consumed slot to the next
+    /// live batch with the same counter, so that run still completes.
+    fn slot(&self, t: Token, aliased: bool) -> Option<usize> {
+        let (off, stride) = if t & TOKEN_EXT == 0 {
+            let ctr = (t & TOKEN_CTR_MASK) as u64;
+            (ctr.wrapping_sub(self.front) & (PLAIN_SPAN - 1), PLAIN_SPAN)
+        } else {
+            let rel = self.front.wrapping_sub(self.base?);
+            (
+                ext_seq(t).wrapping_sub(rel) & (MAX_LIVE_PER_PD - 1),
+                MAX_LIVE_PER_PD,
+            )
+        };
+        let mut i = off as usize;
+        while i < self.win.len() {
+            if self.win[i].is_some() {
+                return Some(i);
+            }
+            if !aliased {
+                break;
+            }
+            i += stride as usize;
+        }
+        None
     }
 
-    /// Store a batch allocated by daemon `pd`, returning its token.
+    /// Store allocation `seq`, growing the window at either end.
+    fn place(&mut self, seq: u64, batch: Batch) {
+        if self.win.is_empty() {
+            self.front = seq;
+        }
+        while seq < self.front {
+            self.win.push_front(None);
+            self.front -= 1;
+        }
+        let i = (seq - self.front) as usize;
+        if i >= self.win.len() {
+            self.win.resize_with(i + 1, || None);
+        }
+        debug_assert!(self.win[i].is_none(), "token re-inserted while live");
+        self.win[i] = Some(batch);
+    }
+
+    /// Consume slot `i` and pop the consumed slots now at the front.
+    fn take(&mut self, i: usize) -> Option<Batch> {
+        let b = self.win.get_mut(i)?.take()?;
+        while let Some(None) = self.win.front() {
+            self.win.pop_front();
+            self.front += 1;
+        }
+        Some(b)
+    }
+}
+
+/// Arena of in-flight batches keyed by `(allocating daemon, allocation
+/// sequence number)`. Each daemon has a window of its live batches in
+/// allocation order, so `insert`, `get`, `get_mut` and `remove` are O(1)
+/// whatever the number in flight, and iteration order — daemon index
+/// major, allocation order minor — is deterministic and independent of
+/// how shards interleave.
+#[derive(Default)]
+pub struct TokenTable {
+    lanes: Vec<Lane>,
+    // lint:allow(snapshot-exempt): recomputed as the number of live slots while load rebuilds the lanes
+    live: usize,
+    // lint:allow(snapshot-exempt): sharded-run diagnostic read right after the shard merge; snapshots are taken of serial runs
+    attach_wide: bool,
+}
+
+impl TokenTable {
+    /// One lane per daemon, pre-sized for the steady-state handful of
+    /// concurrently live batches each daemon keeps in flight.
+    pub fn with_pds(pds: usize) -> TokenTable {
+        TokenTable {
+            lanes: (0..pds)
+                .map(|_| Lane {
+                    win: VecDeque::with_capacity(8),
+                    ..Lane::default()
+                })
+                .collect(),
+            live: 0,
+            attach_wide: false,
+        }
+    }
+
+    /// Number of daemon lanes (fixed by the configuration).
+    pub fn pds(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Whether daemon `pd` may allocate: its live batches span fewer than
+    /// [`MAX_LIVE_PER_PD`] allocations.
+    #[inline]
+    pub fn can_alloc(&self, pd: PdId) -> bool {
+        self.lanes[pd as usize].span() < MAX_LIVE_PER_PD
+    }
+
+    /// Store a batch allocated by daemon `pd`, returning its token. The
+    /// caller checks [`TokenTable::can_alloc`] first.
     pub fn insert(&mut self, pd: PdId, batch: Batch) -> Token {
-        let ctr = self.ctrs[pd as usize];
-        self.ctrs[pd as usize] = ctr.wrapping_add(1) & TOKEN_CTR_MASK as u16;
-        debug_assert!(
-            !self.slots[pd as usize].iter().any(|&(c, _)| c == ctr),
-            "token counter wrapped onto a live batch"
-        );
-        self.slots[pd as usize].push((ctr, batch));
+        let lane = &mut self.lanes[pd as usize];
+        let span = lane.span();
+        debug_assert!(span < MAX_LIVE_PER_PD, "token window full");
+        let seq = lane.next;
+        lane.next += 1;
+        let plain = (pd << TOKEN_CTR_BITS) | (seq & (PLAIN_SPAN - 1)) as u32;
+        let t = if span < PLAIN_SPAN {
+            plain
+        } else {
+            let base = *lane.base.get_or_insert(seq & !(PLAIN_SPAN - 1));
+            let epoch = ((seq - base) >> TOKEN_CTR_BITS) as u32 & 0xF;
+            TOKEN_EXT | (epoch << TOKEN_EPOCH_SHIFT) | plain
+        };
+        lane.place(seq, batch);
         self.live += 1;
-        ((pd as u32) << TOKEN_CTR_BITS) | ctr as u32
+        t
     }
 
     /// Re-insert a batch under a token allocated elsewhere (a cross-shard
-    /// arrival), preserving the per-daemon allocation order.
-    pub fn insert_at(&mut self, t: Token, batch: Batch) {
-        let pd = (t >> TOKEN_CTR_BITS) as usize;
-        let ctr = (t & TOKEN_CTR_MASK) as u16;
-        let v = &mut self.slots[pd];
-        debug_assert!(!v.iter().any(|&(c, _)| c == ctr), "token re-inserted while live");
-        let pos = v
-            .iter()
-            .position(|&(c, _)| ctr_before(ctr, c))
-            .unwrap_or(v.len());
-        v.insert(pos, (ctr, batch));
+    /// arrival) at its allocation sequence number `seq`, as returned by
+    /// [`TokenTable::take`] on the sending shard.
+    pub fn insert_at(&mut self, t: Token, seq: u64, batch: Batch) {
+        let lane = &mut self.lanes[token_pd(t) as usize];
+        if t & TOKEN_EXT != 0 && lane.base.is_none() {
+            lane.base = Some(seq.wrapping_sub(ext_seq(t)));
+        }
+        lane.place(seq, batch);
+        self.attach_wide |= lane.win.len() as u64 >= PLAIN_SPAN;
         self.live += 1;
+    }
+
+    /// Whether a cross-shard arrival ever left a daemon's window spanning
+    /// 4,096 or more allocations. Tokens are issued from the allocating
+    /// shard's own window, so from then on a sharded run may alias plain
+    /// tokens that the serial run keeps apart.
+    pub fn attach_wide(&self) -> bool {
+        self.attach_wide
     }
 
     /// Shared access to a live batch (`None` if the token was consumed).
     #[inline]
     pub fn get(&self, t: Token) -> Option<&Batch> {
-        let ctr = (t & TOKEN_CTR_MASK) as u16;
-        self.slots
-            .get((t >> TOKEN_CTR_BITS) as usize)?
-            .iter()
-            .find(|&&(c, _)| c == ctr)
-            .map(|(_, b)| b)
+        let lane = self.lanes.get(token_pd(t) as usize)?;
+        lane.win[lane.slot(t, self.attach_wide)?].as_ref()
     }
 
     /// Mutable access to a live batch.
     #[inline]
     pub fn get_mut(&mut self, t: Token) -> Option<&mut Batch> {
-        let ctr = (t & TOKEN_CTR_MASK) as u16;
-        self.slots
-            .get_mut((t >> TOKEN_CTR_BITS) as usize)?
-            .iter_mut()
-            .find(|&&mut (c, _)| c == ctr)
-            .map(|(_, b)| b)
+        let lane = self.lanes.get_mut(token_pd(t) as usize)?;
+        let i = lane.slot(t, self.attach_wide)?;
+        lane.win[i].as_mut()
+    }
+
+    /// Remove a live batch, returning it with its allocation sequence
+    /// number (the key [`TokenTable::insert_at`] takes).
+    pub fn take(&mut self, t: Token) -> Option<(u64, Batch)> {
+        let lane = self.lanes.get_mut(token_pd(t) as usize)?;
+        let i = lane.slot(t, self.attach_wide)?;
+        let seq = lane.front + i as u64;
+        let b = lane.take(i)?;
+        self.live -= 1;
+        Some((seq, b))
     }
 
     /// Remove and return a live batch.
+    #[inline]
     pub fn remove(&mut self, t: Token) -> Option<Batch> {
-        let ctr = (t & TOKEN_CTR_MASK) as u16;
-        let v = self.slots.get_mut((t >> TOKEN_CTR_BITS) as usize)?;
-        let pos = v.iter().position(|&(c, _)| c == ctr)?;
-        self.live -= 1;
-        Some(v.remove(pos).1)
+        self.take(t).map(|(_, b)| b)
     }
 
     /// Number of live batches.
@@ -137,38 +285,34 @@ impl TokenTable {
     /// Iterate over live batches (daemon-major, allocation order —
     /// deterministic and shard-independent).
     pub fn values(&self) -> impl Iterator<Item = &Batch> {
-        self.slots.iter().flat_map(|v| v.iter().map(|(_, b)| b))
+        self.lanes.iter().flat_map(|l| l.win.iter().flatten())
     }
 
     /// Combine per-shard tables back into the serial table: each daemon's
-    /// next counter comes from the daemon's owning shard (the only place
-    /// it allocates), and the live batches — scattered across whichever
-    /// shards currently hold them — are unioned back into allocation
-    /// order.
+    /// allocation state comes from the daemon's owning shard (the only
+    /// place it allocates), and the live batches — scattered across
+    /// whichever shards currently hold them — are placed back at their
+    /// sequence numbers.
     pub fn absorb(tables: Vec<TokenTable>, owner_of_pd: impl Fn(usize) -> usize) -> TokenTable {
         let pds = tables.first().map_or(0, TokenTable::pds);
         let mut out = TokenTable::with_pds(pds);
-        for pd in 0..pds {
-            out.ctrs[pd] = tables[owner_of_pd(pd)].ctrs[pd];
+        for (pd, lane) in out.lanes.iter_mut().enumerate() {
+            let owner = &tables[owner_of_pd(pd)].lanes[pd];
+            lane.next = owner.next;
+            lane.front = owner.next;
+            lane.base = owner.base;
         }
-        for mut t in tables {
+        for t in tables {
             debug_assert_eq!(t.pds(), pds);
             out.live += t.live;
-            for (pd, v) in t.slots.iter_mut().enumerate() {
-                out.slots[pd].append(v);
-            }
-        }
-        for v in &mut out.slots {
-            v.sort_unstable_by(|&(a, _), &(b, _)| {
-                if a == b {
-                    std::cmp::Ordering::Equal
-                } else if ctr_before(a, b) {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Greater
+            out.attach_wide |= t.attach_wide;
+            for (pd, lane) in t.lanes.into_iter().enumerate() {
+                for (seq, b) in (lane.front..).zip(lane.win) {
+                    if let Some(b) = b {
+                        out.lanes[pd].place(seq, b);
+                    }
                 }
-            });
-            debug_assert!(v.windows(2).all(|p| p[0].0 != p[1].0), "duplicate live token");
+            }
         }
         out
     }
@@ -459,54 +603,129 @@ impl Persist for Batch {
     }
 }
 
+/// Snapshot flag on a lane's codes once the daemon has issued an extended
+/// token: the code is then the 16-bit sequence number counted from the
+/// extension base. Lanes without it keep the plain 12-bit counter, so a
+/// table that never extended a token saves exactly the plain-counter
+/// format.
+const SNAP_EXT: u32 = 1 << 16;
+
 impl Persist for TokenTable {
     fn save(&self, w: &mut Enc) {
-        w.put_u32(self.slots.len() as u32);
-        for v in &self.slots {
-            w.put_u32(v.len() as u32);
-            for (c, b) in v {
-                w.put_u32(*c as u32);
-                b.save(w);
+        let code = |lane: &Lane, seq: u64| match lane.base {
+            None => (seq & (PLAIN_SPAN - 1)) as u32,
+            Some(base) => SNAP_EXT | (seq.wrapping_sub(base) & (MAX_LIVE_PER_PD - 1)) as u32,
+        };
+        w.put_u32(self.lanes.len() as u32);
+        for lane in &self.lanes {
+            w.put_u32(lane.win.iter().flatten().count() as u32);
+            for (seq, b) in (lane.front..).zip(&lane.win) {
+                if let Some(b) = b {
+                    w.put_u32(code(lane, seq));
+                    b.save(w);
+                }
             }
         }
-        for &c in &self.ctrs {
-            w.put_u32(c as u32);
+        for lane in &self.lanes {
+            w.put_u32(code(lane, lane.next));
         }
     }
     fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
+        // Sequence numbers are rebuilt relative to an anchor: a multiple of
+        // 2^16 far from zero, so counters and extended codes keep their
+        // values and no reconstructed number underflows.
+        const ANCHOR: u64 = 1 << 32;
         let pds = r.take_u32()? as usize;
-        let mut slots = Vec::with_capacity(pds);
-        let mut live = 0usize;
+        if pds > MAX_PDS {
+            return Err(SnapError::Malformed("token table daemon count"));
+        }
+        let mut entries: Vec<Vec<(u32, Batch)>> = Vec::with_capacity(pds);
         for _ in 0..pds {
             let n = r.take_u32()? as usize;
-            let mut v: Vec<(u16, Batch)> = Vec::with_capacity(n.max(8));
+            let mut v = Vec::with_capacity(n.min(MAX_LIVE_PER_PD as usize));
             for _ in 0..n {
                 let c = r.take_u32()?;
-                if c > TOKEN_CTR_MASK {
+                if c > TOKEN_CTR_MASK && c & !(MAX_LIVE_PER_PD as u32 - 1) != SNAP_EXT {
                     return Err(SnapError::Malformed("token counter out of range"));
                 }
-                v.push((c as u16, Persist::load(r)?));
+                v.push((c, Persist::load(r)?));
             }
-            // Allocation order (wrap-aware, strictly increasing) is part of
-            // the format: iteration order feeds deterministic drains.
-            if !v
-                .windows(2)
-                .all(|p| ctr_before(p[0].0, p[1].0))
-            {
-                return Err(SnapError::Malformed("token table slot order"));
-            }
-            live += v.len();
-            slots.push(v);
+            entries.push(v);
         }
-        let mut ctrs = Vec::with_capacity(pds);
-        for _ in 0..pds {
-            let c = r.take_u32()?;
-            if c > TOKEN_CTR_MASK {
+        let mut lanes = Vec::with_capacity(pds);
+        let mut live = 0usize;
+        for v in entries {
+            let nc = r.take_u32()?;
+            let extended = nc & SNAP_EXT != 0;
+            let (next, base) = if extended {
+                if nc & !(MAX_LIVE_PER_PD as u32 - 1) != SNAP_EXT {
+                    return Err(SnapError::Malformed("token table counter"));
+                }
+                (ANCHOR + (nc & !SNAP_EXT) as u64, Some(ANCHOR))
+            } else if nc > TOKEN_CTR_MASK {
                 return Err(SnapError::Malformed("token table counter"));
+            } else {
+                (0, None)
+            };
+            // Allocation order (strictly increasing sequence numbers within
+            // one window) is part of the format: iteration order feeds
+            // deterministic drains.
+            live += v.len();
+            let mut win = VecDeque::with_capacity(v.len().max(8));
+            let mut front = 0u64;
+            let mut last: Option<u64> = None;
+            for (c, b) in v {
+                if (c & SNAP_EXT != 0) != extended {
+                    return Err(SnapError::Malformed("token table slot order"));
+                }
+                let seq = if extended {
+                    // Entries precede `next` by 1..=2^16 allocations.
+                    match nc.wrapping_sub(c) as u64 & (MAX_LIVE_PER_PD - 1) {
+                        0 => next - MAX_LIVE_PER_PD,
+                        back => next - back,
+                    }
+                } else {
+                    match last {
+                        None => ANCHOR + c as u64,
+                        Some(_) => front + ((c as u64).wrapping_sub(front) & (PLAIN_SPAN - 1)),
+                    }
+                };
+                if last.is_some_and(|l| seq <= l) {
+                    return Err(SnapError::Malformed("token table slot order"));
+                }
+                if last.is_none() {
+                    front = seq;
+                }
+                win.resize_with((seq - front) as usize, || None);
+                win.push_back(Some(b));
+                last = Some(seq);
             }
-            ctrs.push(c as u16);
+            let next = match (extended, last) {
+                (true, _) => next,
+                (false, None) => ANCHOR + nc as u64,
+                (false, Some(l)) => {
+                    let next = l + 1 + ((nc as u64).wrapping_sub(l + 1) & (PLAIN_SPAN - 1));
+                    if next - front > PLAIN_SPAN {
+                        return Err(SnapError::Malformed("token table counter"));
+                    }
+                    next
+                }
+            };
+            if last.is_none() {
+                front = next;
+            }
+            lanes.push(Lane {
+                win,
+                front,
+                next,
+                base,
+            });
         }
-        Ok(TokenTable { slots, ctrs, live })
+        Ok(TokenTable {
+            lanes,
+            live,
+            attach_wide: false,
+        })
     }
 }
 
@@ -792,9 +1011,9 @@ mod tests {
         let t1 = sh0.insert(0, batch(11));
         let t2 = sh0.insert(0, batch(12));
         sh0.remove(t1);
-        let moved = sh0.remove(t2).unwrap();
+        let (seq, moved) = sh0.take(t2).unwrap();
         let mut sh1 = TokenTable::with_pds(2);
-        sh1.insert_at(t2, moved);
+        sh1.insert_at(t2, seq, moved);
         let _ = sh1.insert(1, batch(20));
 
         assert_eq!((t0, t2), (s0, s2));

@@ -137,19 +137,19 @@ pub fn lookahead_ns(cfg: &SimConfig) -> u64 {
 impl ShardModel for RoccModel {
     /// A forwarded batch lives in its current holder's token table; when
     /// the `Deliver(Forward)` hop crosses a shard boundary the batch
-    /// travels with it.
-    type Luggage = Batch;
+    /// travels with it, together with its allocation sequence number.
+    type Luggage = (u64, Batch);
 
-    fn detach(&mut self, ev: &Ev) -> Option<Batch> {
+    fn detach(&mut self, ev: &Ev) -> Option<(u64, Batch)> {
         match ev {
-            Ev::Deliver(NetJob::Forward { token, .. }) => self.tokens.remove(*token),
+            Ev::Deliver(NetJob::Forward { token, .. }) => self.tokens.take(*token),
             _ => None,
         }
     }
 
-    fn attach(&mut self, ev: &Ev, luggage: Batch) {
+    fn attach(&mut self, ev: &Ev, (seq, batch): (u64, Batch)) {
         if let Ev::Deliver(NetJob::Forward { token, .. }) = ev {
-            self.tokens.insert_at(*token, luggage);
+            self.tokens.insert_at(*token, seq, batch);
         }
     }
 }

@@ -183,7 +183,23 @@ fn micros_to_nanos(us: f64) -> u64 {
     if !us.is_finite() || us <= 0.0 {
         0
     } else {
-        (us * NANOS_PER_MICRO as f64).round() as u64
+        round_positive(us * NANOS_PER_MICRO as f64)
+    }
+}
+
+/// `x.round() as u64` for `x > 0`, without the library call `f64::round`
+/// compiles to on baseline x86-64 (no SSE4.1 `roundsd`). Below 2^52 the
+/// fraction `x - t` left by truncation is exact (Sterbenz), so comparing
+/// it with 0.5 rounds half away from zero exactly; from 2^52 up every
+/// `f64` is an integer and the saturating cast alone is exact.
+#[inline]
+fn round_positive(x: f64) -> u64 {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    let t = x as u64;
+    if x < TWO_52 {
+        t + u64::from(x - t as f64 >= 0.5)
+    } else {
+        t
     }
 }
 
@@ -297,6 +313,57 @@ mod tests {
         assert_eq!(b.saturating_sub(a), SimDur::ZERO);
         assert_eq!(a.checked_sub(b), Some(SimDur::from_nanos(7)));
         assert_eq!(b.checked_sub(a), None);
+    }
+
+    #[test]
+    fn round_positive_matches_f64_round() {
+        let two52 = 4_503_599_627_370_496.0f64;
+        let mut xs = vec![
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            0.49999999999999994,
+            0.5,
+            0.5000000000000001,
+            1.0,
+            1.5,
+            2.5,
+            1e9 + 0.5,
+            two52 - 0.5,
+            two52,
+            f64::from_bits(two52.to_bits() - 1),
+            f64::from_bits(two52.to_bits() + 1),
+            2.0 * two52,
+            18_446_744_073_709_551_616.0,
+            1e30,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for k in 0..64u64 {
+            let v = k as f64 + 0.5;
+            xs.extend([
+                v,
+                f64::from_bits(v.to_bits() - 1),
+                f64::from_bits(v.to_bits() + 1),
+            ]);
+        }
+        let mut z = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..100_000 {
+            z ^= z << 13;
+            z ^= z >> 7;
+            z ^= z << 17;
+            // Positive finite values, exponents spread over [2^-10, 2^66).
+            let x = f64::from_bits((z >> 12) | ((1013 + (z % 76)) << 52));
+            xs.push(x);
+        }
+        for x in xs {
+            assert_eq!(
+                round_positive(x),
+                x.round() as u64,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
     }
 
     #[test]

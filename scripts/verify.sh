@@ -119,6 +119,13 @@ cargo test -q --offline --test snapshot_equivalence perturbed_restore_breaks_equ
 }
 echo "snapshot mutation self-check: perturbation correctly detected"
 
+echo "== saturated-main token regression (release, about 6 M events) =="
+# Figure 26's 1 ms CF-direct point run to 7 s: daemons hold more than
+# 4,096 in-flight batches, so batch tokens must extend past the 12-bit
+# counter. Event and emitted-sample counts are pinned, and a fork taken at
+# 6.5 s must resume to the straight run's state.
+cargo test -q --release --offline --test token_table -- --ignored
+
 echo "== fault-injection suite =="
 cargo test -q --offline --test fault_injection
 
