@@ -20,57 +20,20 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Run one simulation to its configured horizon.
 ///
-/// When `PARADYN_SHARDS` is set above 1 and the configuration is
-/// [`crate::shard::shardable`], the run executes on the sharded driver
-/// ([`crate::shard::run_sharded`]) with `PARADYN_SHARD_THREADS` OS
-/// threads (default 1) — the metrics are bit-identical to the serial
-/// engine either way. A sharded run whose token windows outgrew the plain
-/// counter ([`crate::model::types::TokenTable::attach_wide`]) may have
-/// aliased tokens, so it is discarded and the run repeated serially.
-///
 /// # Panics
 /// Panics on an invalid configuration.
 pub fn run(cfg: &SimConfig) -> SimMetrics {
     let horizon = SimTime::from_secs_f64(cfg.duration_s);
-    let shards = default_shards();
-    let sharded = (shards > 1 && crate::shard::shardable(cfg)).then(|| {
-        crate::shard::run_sharded(
-            cfg,
-            CalendarKind::default_from_env(),
-            shards,
-            default_shard_threads(),
-        )
-    });
-    let sim = match sharded {
-        Some(sim) if !sim.model.tokens.attach_wide() => sim,
-        _ => {
-            let mut sim = build(cfg);
-            sim.run_until(horizon);
-            sim
-        }
-    };
+    let mut sim = build(cfg);
+    sim.run_until(horizon);
     let events = sim.executed_events();
     sim.model.metrics(horizon - SimTime::ZERO, events)
 }
 
-/// Shard count for [`run`]: `PARADYN_SHARDS` if set, else 1 (serial).
+/// Shards per run: always 1. Runs are always serial; this exists only so
+/// the benchmark harness can record the value among its settings.
 pub fn default_shards() -> u16 {
-    std::env::var("PARADYN_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &u16| n >= 1)
-        .unwrap_or(1)
-}
-
-/// OS threads driving a sharded [`run`]: `PARADYN_SHARD_THREADS` if set,
-/// else 1 (the window protocol runs the shards round-robin on the calling
-/// thread — bit-identical to any other thread count).
-pub fn default_shard_threads() -> usize {
-    std::env::var("PARADYN_SHARD_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n >= 1)
-        .unwrap_or(1)
+    1
 }
 
 /// Metrics of a replicated experiment: per-replication values plus the
@@ -189,7 +152,7 @@ pub fn run_forked(
     reps: usize,
     threads: usize,
 ) -> Result<Vec<SimMetrics>, SnapError> {
-    let kind = CalendarKind::default_from_env();
+    let kind = CalendarKind::Wheel;
     let snap = warm_snapshot(cfg, SimTime::from_secs_f64(warmup_s), kind)?;
     let horizon = SimTime::from_secs_f64(cfg.duration_s);
     let salts: Vec<u64> = (0..reps).map(|r| replication_seed(cfg.seed, r)).collect();

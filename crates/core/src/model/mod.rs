@@ -34,16 +34,14 @@ use paradyn_des::{
 };
 use paradyn_workload::ProcessClass;
 use std::collections::VecDeque;
-use std::sync::Arc;
 use types::{class_idx, AppId, Batch, CpuJob, CpuKind, Dest, Ev, NetJob, PdId, Token, TokenTable};
 
 /// Stream-id kinds for reproducible per-element randomness.
 ///
 /// Documented allocation (enforced by `paradyn-lint`'s `rng-stream-id`
 /// rule): ids 11–13 are reserved for `FAULT_*` fault-injection streams,
-/// 14–15 for `CTRL_*` degradation-controller streams, 16 for the
-/// `CHAOS_*` chaos-scenario derivation stream, and 17 for the `SHARD_*`
-/// sharded-run case-derivation stream, so an inert fault plan or
+/// 14–15 for `CTRL_*` degradation-controller streams, and 16 for the
+/// `CHAOS_*` chaos-scenario derivation stream, so an inert fault plan or
 /// degradation config leaves every other stream untouched.
 pub mod stream_kind {
     /// Application CPU-burst demands.
@@ -80,9 +78,6 @@ pub mod stream_kind {
     pub const CTRL_SHED: u64 = 15;
     /// Chaos-search scenario derivation (one sub-seed per scenario index).
     pub const CHAOS_SCENARIO: u64 = 16;
-    /// Sharded-run smoke/differential case derivation (one sub-seed per
-    /// case index; see [`crate::shard::smoke_seed`]).
-    pub const SHARD_SMOKE: u64 = 17;
 }
 
 /// What an application process does next.
@@ -96,11 +91,11 @@ pub(crate) enum Step {
 
 /// Internal metric accumulators.
 ///
-/// With scheduling cells enabled (shardable configurations, see
-/// [`crate::shard`]) the model keeps one `Acc` per cell and folds them in
-/// cell order at reporting time ([`RoccModel::acc_total`]), so per-cell
-/// floating-point sums — and therefore the folded totals — are bitwise
-/// identical between a serial run and any sharded run.
+/// On cell-keyed configurations ([`cell_keyed`]) the model keeps one `Acc`
+/// per cell and folds them in cell order at reporting time
+/// ([`RoccModel::acc_total`]). That summation order is part of the pinned
+/// results: one shared accumulator would round the same additions
+/// differently (DESIGN.md §11).
 #[derive(Clone, Default)]
 pub(crate) struct Acc {
     /// CPU busy time by class (µs).
@@ -171,14 +166,26 @@ impl Acc {
     }
 }
 
-/// The slice of a sharded run this model instance executes: used by the
-/// boot path to seed only owned cells (every shard replays the same boot
-/// code and self-filters; see DESIGN.md §11).
-pub(crate) struct ShardSlice {
-    /// This shard's id.
-    pub me: u16,
-    /// Owning shard per cell (cell = node index).
-    pub shard_of: Arc<Vec<u16>>,
+/// Whether `cfg` runs with cell-keyed tie order (DESIGN.md §11): per-node
+/// CPU banks on a contention-free interconnect, no global barrier, no
+/// degradation controller, and an inert overload ramp — the configurations
+/// whose nodes interact only through forwarding links. On them each node
+/// is a scheduling cell with its own sequence counter and metric
+/// accumulator, so same-time events fire in cell order. Other
+/// configurations use one global counter and one accumulator.
+pub(crate) fn cell_keyed(cfg: &SimConfig) -> bool {
+    let arch_ok = matches!(
+        cfg.arch,
+        Arch::Mpp { .. }
+            | Arch::Now {
+                contention_free: true
+            }
+    );
+    let overload_inert = cfg.overload.is_none_or(|o| o.factor <= 1.0);
+    arch_ok
+        && cfg.app.barrier_period_us.is_none()
+        && cfg.degradation.is_none()
+        && overload_inert
 }
 
 /// The full system model.
@@ -208,19 +215,16 @@ pub struct RoccModel {
     /// Whether the configured overload ramp has fired (offered load is
     /// multiplied from that point on).
     pub(crate) overload_on: bool,
-    /// Metric accumulators: one per scheduling cell when cells are enabled
-    /// (shardable configurations), a single slot otherwise.
+    /// Metric accumulators: one per scheduling cell on cell-keyed
+    /// configurations, a single slot otherwise.
     pub(crate) accs: Vec<Acc>,
     /// Cell of the event currently being handled (always 0 when
     /// `cells_on` is false).
     // lint:allow(snapshot-exempt): transient cursor, only meaningful mid-event; snapshots are taken between events
     pub(crate) cell: usize,
-    /// Whether scheduling cells are enabled (see [`crate::shard`]).
+    /// Whether scheduling cells are enabled (see [`cell_keyed`]).
     // lint:allow(snapshot-exempt): derived from the config the restored model is rebuilt from
     pub(crate) cells_on: bool,
-    /// Present only on the workers of a sharded run.
-    // lint:allow(snapshot-exempt): worker-only scaffold; snapshots are taken on the merged serial model where it is None
-    pub(crate) shard: Option<ShardSlice>,
 }
 
 impl RoccModel {
@@ -233,10 +237,7 @@ impl RoccModel {
         if let Err(e) = cfg.validate() {
             panic!("invalid SimConfig: {e}");
         }
-        // Shardable configurations run with scheduling cells (cell = node)
-        // whether or not the run is actually sharded, so serial runs are
-        // the bit-exact oracle for sharded ones at any shard count.
-        let cells_on = crate::shard::shardable(&cfg);
+        let cells_on = cell_keyed(&cfg);
         let cells = cfg.nodes;
         let streams = Streams::new(cfg.seed);
         let quantum = SimDur::from_micros_f64(cfg.params.quantum_us);
@@ -372,23 +373,12 @@ impl RoccModel {
             accs: vec![Acc::default(); if cells_on { cells } else { 1 }],
             cell: 0,
             cells_on,
-            shard: None,
-        }
-    }
-
-    /// True when this instance owns `cell` (trivially true outside a
-    /// sharded run).
-    #[inline]
-    pub(crate) fn owns_cell(&self, cell: u32) -> bool {
-        match &self.shard {
-            Some(s) => s.shard_of[cell as usize] == s.me,
-            None => true,
         }
     }
 
     /// Attribute subsequent metric writes and event-sequence allocations
-    /// to `cell` (the boot path calls this per seeded entity so per-cell
-    /// sequence counters advance identically in serial and sharded runs).
+    /// to `cell` (the boot path calls this per seeded entity, so each
+    /// entity's first events are keyed by its own cell).
     #[inline]
     pub(crate) fn enter_cell(&mut self, ctx: &mut Ctx<Ev>, cell: u32) {
         if self.cells_on {
@@ -445,8 +435,7 @@ impl RoccModel {
             _ => demand_us,
         };
         // On contention-free interconnects a forwarding hop takes at least
-        // `min_forward_us` of wire time — the lookahead lower bound the
-        // sharded driver's conservative windows rest on (DESIGN.md §11).
+        // `min_forward_us` of wire time.
         let demand_us = match (&self.shared_net, &job) {
             (None, NetJob::Forward { .. }) => demand_us.max(self.cfg.params.min_forward_us),
             _ => demand_us,
@@ -466,8 +455,7 @@ impl RoccModel {
     }
 
     /// Allocate a batch token for collecting daemon `pd` (the token value
-    /// is a pure function of `pd`'s own allocation history, so it is
-    /// identical in serial and sharded runs).
+    /// is a pure function of `pd`'s own allocation history).
     pub(crate) fn alloc_token(&mut self, pd: PdId, batch: Batch) -> Token {
         self.tokens.insert(pd, batch)
     }
@@ -522,11 +510,10 @@ impl RoccModel {
     /// Consume a live batch. A daemon at the token layout's bound
     /// ([`types::MAX_LIVE_PER_PD`] allocations in flight) defers its
     /// collects; consuming its oldest batch frees a token, so the deferred
-    /// collect is retried here. Sharded runs skip the retry: the daemon
-    /// may live in another shard.
+    /// collect is retried here.
     pub(crate) fn consume_token(&mut self, ctx: &mut Ctx<Ev>, token: Token) -> Option<Batch> {
         let pd = types::token_pd(token);
-        let was_full = self.shard.is_none() && !self.tokens.can_alloc(pd);
+        let was_full = !self.tokens.can_alloc(pd);
         let batch = self.tokens.remove(token)?;
         if was_full && self.tokens.can_alloc(pd) {
             self.maybe_collect(ctx, pd);
@@ -616,9 +603,8 @@ impl Model for RoccModel {
     fn handle(&mut self, ctx: &mut Ctx<Ev>, ev: Ev) {
         if self.cells_on {
             // Attribute this event's metric writes — and the sequence
-            // numbers of everything it schedules — to its execution cell,
-            // making both independent of how cells are packed onto shards.
-            let c = crate::shard::exec_cell(&ev, self.cfg.apps_per_node as u32);
+            // numbers of everything it schedules — to its execution cell.
+            let c = ev.exec_cell(self.cfg.apps_per_node as u32);
             self.cell = c as usize;
             ctx.set_cell(c);
         }
@@ -677,22 +663,11 @@ impl Model for RoccModel {
 
 impl RoccModel {
     /// Seed the time-zero activity: application loops, sampling timers,
-    /// and background sources.
-    ///
-    /// In a sharded run every shard replays this same boot code and
-    /// self-filters to the cells it owns; each per-entity seed enters its
-    /// entity's cell first, so per-cell sequence counters (and therefore
-    /// event identities) come out identical to a serial boot. Skipping an
-    /// unowned entity skips only that entity's own stream draws —
-    /// construction gives every entity its own stream, so the remaining
-    /// draws are unperturbed.
+    /// and background sources. Each per-entity seed enters its entity's
+    /// cell first.
     fn init(&mut self, ctx: &mut Ctx<Ev>) {
         for app in 0..self.apps.len() as u32 {
-            let cell = self.apps.hot[app as usize].node;
-            if !self.owns_cell(cell) {
-                continue;
-            }
-            self.enter_cell(ctx, cell);
+            self.enter_cell(ctx, self.apps.hot[app as usize].node);
             self.app_start_step(ctx, app, Step::Compute);
             if self.cfg.instrumented {
                 self.schedule_next_sample(ctx, app);
@@ -702,11 +677,7 @@ impl RoccModel {
             if let Some(a) = self.cfg.adaptive {
                 let interval = SimDur::from_micros_f64(a.interval_us);
                 for pd in 0..self.daemons.len() as u32 {
-                    let cell = self.daemons.hot[pd as usize].node;
-                    if !self.owns_cell(cell) {
-                        continue;
-                    }
-                    self.enter_cell(ctx, cell);
+                    self.enter_cell(ctx, self.daemons.hot[pd as usize].node);
                     ctx.post_in(interval, Ev::AdaptTick { pd });
                 }
             }
@@ -715,16 +686,13 @@ impl RoccModel {
             // so fault-free runs are bit-identical to the fault-free model.
             for pd in 0..self.daemons.len() as u32 {
                 let cell = self.daemons.hot[pd as usize].node;
-                if !self.owns_cell(cell) {
-                    continue;
-                }
                 if let Some(crash) = &mut self.daemons.cold[pd as usize].crash {
                     let ttf = crash.time_to_failure();
                     self.enter_cell(ctx, cell);
                     ctx.post_in(ttf, Ev::DaemonCrash { pd });
                 }
             }
-            if self.cfg.faults.stall.is_some() && self.owns_cell(0) {
+            if self.cfg.faults.stall.is_some() {
                 self.enter_cell(ctx, 0);
                 let gap = self.draw_stall_gap();
                 ctx.post_in(gap, Ev::MainStall);
@@ -732,7 +700,7 @@ impl RoccModel {
             // Like fault injection, an overload ramp schedules nothing when
             // it is inert (factor 1), so such configs stay bit-identical.
             if let Some(o) = self.cfg.overload {
-                if o.factor > 1.0 && self.owns_cell(0) {
+                if o.factor > 1.0 {
                     self.enter_cell(ctx, 0);
                     ctx.post_at(SimTime::from_secs_f64(o.at_s), Ev::OverloadRamp);
                 }
@@ -740,9 +708,6 @@ impl RoccModel {
         }
         if self.cfg.background {
             for node in 0..self.pvmd_rngs.len() as u32 {
-                if !self.owns_cell(node) {
-                    continue;
-                }
                 self.enter_cell(ctx, node);
                 let d = self.draw_interarrival(node, BgKind::Pvmd);
                 ctx.post_in(d, Ev::PvmdArrival { node });
@@ -834,17 +799,15 @@ impl RoccModel {
 
 /// Build a ready-to-run simulation: the model plus its `Init` event.
 pub fn build(cfg: &SimConfig) -> Sim<RoccModel> {
-    build_with_calendar(cfg, paradyn_des::CalendarKind::default_from_env())
+    build_with_calendar(cfg, paradyn_des::CalendarKind::Wheel)
 }
 
-/// [`build`] with an explicit event-calendar backend (used by the benches
-/// to compare the timing wheel against the legacy heap on the full model).
+/// [`build`] with an explicit event-calendar backend (the heap is the
+/// differential-testing oracle; the benches compare the two).
 pub fn build_with_calendar(cfg: &SimConfig, kind: paradyn_des::CalendarKind) -> Sim<RoccModel> {
     let mut sim = Sim::with_calendar(RoccModel::new(cfg.clone()), kind);
-    // Shardable configurations use per-cell sequence counters even when
-    // run serially, so the serial run is the bit-exact oracle for sharded
-    // runs (see `crate::shard`). Other configurations keep the historical
-    // single global counter and are untouched by sharding.
+    // Cell-keyed configurations use one sequence counter per node (cell);
+    // the others keep the single global counter.
     if sim.model.cells_on {
         let cells = sim.model.cfg.nodes as u32;
         sim.ctx().enable_cells(cells);

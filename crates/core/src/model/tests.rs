@@ -219,3 +219,23 @@ fn uninstrumented_run_schedules_no_is_events() {
     assert_eq!(model.total_forwarded(), (0, 0));
     assert!(events > 0, "application still runs");
 }
+
+#[test]
+fn cell_keyed_excludes_coupling_features() {
+    let mpp_tree = |nodes| quick(Arch::Mpp { forwarding: Forwarding::BinaryTree }, nodes);
+    assert!(!cell_keyed(&SimConfig::default()), "shared Ethernet couples all nodes");
+    assert!(cell_keyed(&mpp_tree(8)));
+    assert!(cell_keyed(&quick(Arch::Now { contention_free: true }, 4)));
+    assert!(!cell_keyed(&quick(Arch::Smp, 8)));
+    assert!(!cell_keyed(&SimConfig {
+        degradation: Some(crate::config::DegradationConfig::default()),
+        ..mpp_tree(8)
+    }));
+    assert!(!cell_keyed(&SimConfig {
+        overload: Some(crate::config::OverloadRamp::default()),
+        ..mpp_tree(8)
+    }));
+    let mut barrier = mpp_tree(8);
+    barrier.app.barrier_period_us = Some(1_000_000.0);
+    assert!(!cell_keyed(&barrier));
+}

@@ -71,9 +71,8 @@ fn ext_seq(t: Token) -> u64 {
 }
 
 /// One daemon's live batches in allocation order: slot `i` holds
-/// allocation `front + i` (`None` once consumed, or while a sharded run
-/// holds the batch in another shard's table). Consumed slots at the front
-/// are popped, so `front` is the oldest live allocation.
+/// allocation `front + i` (`None` once consumed). Consumed slots at the
+/// front are popped, so `front` is the oldest live allocation.
 #[derive(Default)]
 struct Lane {
     win: VecDeque<Option<Batch>>,
@@ -96,50 +95,31 @@ impl Lane {
         }
     }
 
-    /// Window slot of token `t`. A plain token's allocation lies within
-    /// 4,096 of the oldest live one, an extended token's within 65,536.
-    /// `aliased` (a sharded table that outgrew the plain counter, see
-    /// [`TokenTable::attach_wide`]) resolves a consumed slot to the next
-    /// live batch with the same counter, so that run still completes.
-    fn slot(&self, t: Token, aliased: bool) -> Option<usize> {
-        let (off, stride) = if t & TOKEN_EXT == 0 {
+    /// Window slot of live token `t`. A plain token's allocation lies
+    /// within 4,096 of the oldest live one, an extended token's within
+    /// 65,536.
+    fn slot(&self, t: Token) -> Option<usize> {
+        let off = if t & TOKEN_EXT == 0 {
             let ctr = (t & TOKEN_CTR_MASK) as u64;
-            (ctr.wrapping_sub(self.front) & (PLAIN_SPAN - 1), PLAIN_SPAN)
+            ctr.wrapping_sub(self.front) & (PLAIN_SPAN - 1)
         } else {
             let rel = self.front.wrapping_sub(self.base?);
-            (
-                ext_seq(t).wrapping_sub(rel) & (MAX_LIVE_PER_PD - 1),
-                MAX_LIVE_PER_PD,
-            )
+            ext_seq(t).wrapping_sub(rel) & (MAX_LIVE_PER_PD - 1)
         };
-        let mut i = off as usize;
-        while i < self.win.len() {
-            if self.win[i].is_some() {
-                return Some(i);
-            }
-            if !aliased {
-                break;
-            }
-            i += stride as usize;
-        }
-        None
+        let i = off as usize;
+        self.win.get(i)?.as_ref().map(|_| i)
     }
 
-    /// Store allocation `seq`, growing the window at either end.
+    /// Store allocation `seq`, the daemon's newest, at the back of the
+    /// window (after an empty slot for each consumed allocation between).
     fn place(&mut self, seq: u64, batch: Batch) {
         if self.win.is_empty() {
             self.front = seq;
         }
-        while seq < self.front {
-            self.win.push_front(None);
-            self.front -= 1;
-        }
         let i = (seq - self.front) as usize;
-        if i >= self.win.len() {
-            self.win.resize_with(i + 1, || None);
-        }
-        debug_assert!(self.win[i].is_none(), "token re-inserted while live");
-        self.win[i] = Some(batch);
+        debug_assert!(i >= self.win.len(), "allocations arrive in sequence order");
+        self.win.resize_with(i, || None);
+        self.win.push_back(Some(batch));
     }
 
     /// Consume slot `i` and pop the consumed slots now at the front.
@@ -157,15 +137,12 @@ impl Lane {
 /// sequence number)`. Each daemon has a window of its live batches in
 /// allocation order, so `insert`, `get`, `get_mut` and `remove` are O(1)
 /// whatever the number in flight, and iteration order — daemon index
-/// major, allocation order minor — is deterministic and independent of
-/// how shards interleave.
+/// major, allocation order minor — is deterministic.
 #[derive(Default)]
 pub struct TokenTable {
     lanes: Vec<Lane>,
     // lint:allow(snapshot-exempt): recomputed as the number of live slots while load rebuilds the lanes
     live: usize,
-    // lint:allow(snapshot-exempt): sharded-run diagnostic read right after the shard merge; snapshots are taken of serial runs
-    attach_wide: bool,
 }
 
 impl TokenTable {
@@ -180,7 +157,6 @@ impl TokenTable {
                 })
                 .collect(),
             live: 0,
-            attach_wide: false,
         }
     }
 
@@ -217,57 +193,29 @@ impl TokenTable {
         t
     }
 
-    /// Re-insert a batch under a token allocated elsewhere (a cross-shard
-    /// arrival) at its allocation sequence number `seq`, as returned by
-    /// [`TokenTable::take`] on the sending shard.
-    pub fn insert_at(&mut self, t: Token, seq: u64, batch: Batch) {
-        let lane = &mut self.lanes[token_pd(t) as usize];
-        if t & TOKEN_EXT != 0 && lane.base.is_none() {
-            lane.base = Some(seq.wrapping_sub(ext_seq(t)));
-        }
-        lane.place(seq, batch);
-        self.attach_wide |= lane.win.len() as u64 >= PLAIN_SPAN;
-        self.live += 1;
-    }
-
-    /// Whether a cross-shard arrival ever left a daemon's window spanning
-    /// 4,096 or more allocations. Tokens are issued from the allocating
-    /// shard's own window, so from then on a sharded run may alias plain
-    /// tokens that the serial run keeps apart.
-    pub fn attach_wide(&self) -> bool {
-        self.attach_wide
-    }
-
     /// Shared access to a live batch (`None` if the token was consumed).
     #[inline]
     pub fn get(&self, t: Token) -> Option<&Batch> {
         let lane = self.lanes.get(token_pd(t) as usize)?;
-        lane.win[lane.slot(t, self.attach_wide)?].as_ref()
+        lane.win[lane.slot(t)?].as_ref()
     }
 
     /// Mutable access to a live batch.
     #[inline]
     pub fn get_mut(&mut self, t: Token) -> Option<&mut Batch> {
         let lane = self.lanes.get_mut(token_pd(t) as usize)?;
-        let i = lane.slot(t, self.attach_wide)?;
+        let i = lane.slot(t)?;
         lane.win[i].as_mut()
-    }
-
-    /// Remove a live batch, returning it with its allocation sequence
-    /// number (the key [`TokenTable::insert_at`] takes).
-    pub fn take(&mut self, t: Token) -> Option<(u64, Batch)> {
-        let lane = self.lanes.get_mut(token_pd(t) as usize)?;
-        let i = lane.slot(t, self.attach_wide)?;
-        let seq = lane.front + i as u64;
-        let b = lane.take(i)?;
-        self.live -= 1;
-        Some((seq, b))
     }
 
     /// Remove and return a live batch.
     #[inline]
     pub fn remove(&mut self, t: Token) -> Option<Batch> {
-        self.take(t).map(|(_, b)| b)
+        let lane = self.lanes.get_mut(token_pd(t) as usize)?;
+        let i = lane.slot(t)?;
+        let b = lane.take(i)?;
+        self.live -= 1;
+        Some(b)
     }
 
     /// Number of live batches.
@@ -282,39 +230,9 @@ impl TokenTable {
         self.live == 0
     }
 
-    /// Iterate over live batches (daemon-major, allocation order —
-    /// deterministic and shard-independent).
+    /// Iterate over live batches (daemon-major, allocation order).
     pub fn values(&self) -> impl Iterator<Item = &Batch> {
         self.lanes.iter().flat_map(|l| l.win.iter().flatten())
-    }
-
-    /// Combine per-shard tables back into the serial table: each daemon's
-    /// allocation state comes from the daemon's owning shard (the only
-    /// place it allocates), and the live batches — scattered across
-    /// whichever shards currently hold them — are placed back at their
-    /// sequence numbers.
-    pub fn absorb(tables: Vec<TokenTable>, owner_of_pd: impl Fn(usize) -> usize) -> TokenTable {
-        let pds = tables.first().map_or(0, TokenTable::pds);
-        let mut out = TokenTable::with_pds(pds);
-        for (pd, lane) in out.lanes.iter_mut().enumerate() {
-            let owner = &tables[owner_of_pd(pd)].lanes[pd];
-            lane.next = owner.next;
-            lane.front = owner.next;
-            lane.base = owner.base;
-        }
-        for t in tables {
-            debug_assert_eq!(t.pds(), pds);
-            out.live += t.live;
-            out.attach_wide |= t.attach_wide;
-            for (pd, lane) in t.lanes.into_iter().enumerate() {
-                for (seq, b) in (lane.front..).zip(lane.win) {
-                    if let Some(b) = b {
-                        out.lanes[pd].place(seq, b);
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -505,6 +423,36 @@ pub enum Ev {
     /// The configured overload ramp fires: offered sampling load is
     /// multiplied by the ramp factor from this instant on.
     OverloadRamp,
+}
+
+impl Ev {
+    /// Execution cell of the event: the node whose state its handler
+    /// touches. Only meaningful on cell-keyed configurations
+    /// ([`super::cell_keyed`]: per-node banks, node == daemon index).
+    pub(crate) fn exec_cell(&self, apps_per_node: u32) -> u32 {
+        match *self {
+            Ev::Init | Ev::NetDone | Ev::MainStall | Ev::OverloadRamp => 0,
+            Ev::Slice { bank, .. } => bank,
+            Ev::Deliver(job) => match job {
+                NetJob::AppComm { app } => app / apps_per_node,
+                NetJob::Forward { dest, .. } => match dest {
+                    Dest::Main => 0,
+                    Dest::Node(n) => n,
+                },
+                NetJob::PvmdNet { node } | NetJob::OtherNet { node } => node,
+            },
+            Ev::Sample { app } | Ev::ThrottleTick { app } => app / apps_per_node,
+            Ev::PvmdArrival { node }
+            | Ev::OtherCpuArrival { node }
+            | Ev::OtherNetArrival { node } => node,
+            Ev::FlushTimeout { pd, .. }
+            | Ev::AdaptTick { pd }
+            | Ev::DaemonCrash { pd }
+            | Ev::DaemonRecover { pd }
+            | Ev::Backpressure { pd, .. }
+            | Ev::RetryForward { pd, .. } => pd,
+        }
+    }
 }
 
 /// Payload of an in-flight batch of samples.
@@ -721,11 +669,7 @@ impl Persist for TokenTable {
                 base,
             });
         }
-        Ok(TokenTable {
-            lanes,
-            live,
-            attach_wide: false,
-        })
+        Ok(TokenTable { lanes, live })
     }
 }
 
@@ -966,7 +910,7 @@ mod tests {
     }
 
     #[test]
-    fn token_table_is_shard_stable_and_ordered() {
+    fn token_table_is_keyed_by_daemon_and_allocation() {
         let mut tab = TokenTable::with_pds(3);
         let a = tab.insert(1, batch(1));
         let b = tab.insert(1, batch(2));
@@ -992,40 +936,6 @@ mod tests {
         tab.remove(c);
         tab.remove(d);
         assert!(tab.is_empty());
-    }
-
-    #[test]
-    fn token_table_absorb_reunites_shards() {
-        // Serial reference: pd 0 allocates three, consumes the middle one.
-        let mut serial = TokenTable::with_pds(2);
-        let s0 = serial.insert(0, batch(10));
-        let s1 = serial.insert(0, batch(11));
-        let s2 = serial.insert(0, batch(12));
-        serial.remove(s1);
-        let _ = serial.insert(1, batch(20));
-
-        // Sharded: pd 0 owned by shard 0 allocates the same sequence, but
-        // batch s2 is currently in flight on shard 1 (a cross-shard hop).
-        let mut sh0 = TokenTable::with_pds(2);
-        let t0 = sh0.insert(0, batch(10));
-        let t1 = sh0.insert(0, batch(11));
-        let t2 = sh0.insert(0, batch(12));
-        sh0.remove(t1);
-        let (seq, moved) = sh0.take(t2).unwrap();
-        let mut sh1 = TokenTable::with_pds(2);
-        sh1.insert_at(t2, seq, moved);
-        let _ = sh1.insert(1, batch(20));
-
-        assert_eq!((t0, t2), (s0, s2));
-        let merged = TokenTable::absorb(vec![sh0, sh1], |pd| pd); // pd 0 → shard 0, pd 1 → shard 1
-        assert_eq!(merged.len(), serial.len());
-        let mc: Vec<u32> = merged.values().map(|x| x.count).collect();
-        let sc: Vec<u32> = serial.values().map(|x| x.count).collect();
-        assert_eq!(mc, sc);
-        // Next allocation matches the serial table's.
-        let mut merged = merged;
-        let mut serial = serial;
-        assert_eq!(merged.insert(0, batch(30)), serial.insert(0, batch(30)));
     }
 
     #[test]

@@ -104,20 +104,9 @@ pub enum CalendarKind {
     /// Ring calendar over a recycled entry arena: O(1) schedule/cancel,
     /// ordering work only within the current window. The default.
     Wheel,
-    /// The legacy binary heap: O(log n) schedule/pop (kept as a fallback
-    /// and as the differential-testing oracle).
+    /// The binary heap: O(log n) schedule/pop, kept as the
+    /// differential-testing oracle (selected by name only).
     Heap,
-}
-
-impl CalendarKind {
-    /// The default kind, overridable with `PARADYN_CALENDAR=heap|wheel`
-    /// (useful for A/B benchmarking without code changes).
-    pub fn default_from_env() -> CalendarKind {
-        match std::env::var("PARADYN_CALENDAR").as_deref() {
-            Ok("heap") => CalendarKind::Heap,
-            _ => CalendarKind::Wheel,
-        }
-    }
 }
 
 /// Point-in-time occupancy/health counters of a calendar (also emitted into
@@ -599,34 +588,6 @@ impl<E> Wheel<E> {
         }
     }
 
-    /// Earliest time in the node list starting at `n` (`u64::MAX` if empty).
-    fn list_min(&self, mut n: u32) -> u64 {
-        let mut lb = u64::MAX;
-        while n != NIL {
-            let node = &self.nodes[n as usize];
-            lb = lb.min(node.at);
-            n = node.next;
-        }
-        lb
-    }
-
-    /// Read-only lower bound on the earliest live entry's time (see
-    /// [`Calendar::next_lower_bound`]): the `due` front, else the earliest
-    /// entry of the next occupied sub-window, ring window, or the overflow
-    /// top. Cancelled leftovers can only lower the bound (safe).
-    fn next_lower_bound(&self) -> u64 {
-        if let Some(k) = self.due.get(self.head) {
-            return k.at;
-        }
-        if let Some(i) = self.next_sub() {
-            return self.list_min(self.subs[i]);
-        }
-        if let Some(d) = self.next_occupied() {
-            return self.list_min(self.heads[((self.base + d) & RING_MASK) as usize]);
-        }
-        self.overflow.peek().map_or(u64::MAX, |k| k.0.at)
-    }
-
     /// Visit every stored entry as `(at, seq, slot, event)`.
     fn for_each_entry<'a>(&'a self, mut f: impl FnMut(u64, u64, u32, &'a E)) {
         let mut visit = |n: u32| {
@@ -783,27 +744,6 @@ impl<E> Calendar<E> {
             return Some((SimTime::from_nanos(at), ev));
         }
         None
-    }
-
-    /// A **lower bound** on the time of the earliest live event, computed
-    /// read-only — the shard driver's per-window "local next" query
-    /// (DESIGN.md §11). Never larger than the true minimum; `u64::MAX` when
-    /// no live event is pending.
-    ///
-    /// For the heap it is the root's time; for the ring, the current
-    /// heap's top, else the earliest entry of the next occupied window,
-    /// else the overflow top. Both are exact up to lazily-deleted cancelled
-    /// entries, which only make the bound smaller; the driver falls back to
-    /// the exact O(live) [`Calendar::peek_min`] if a bound ever stalls
-    /// without progress.
-    pub(crate) fn next_lower_bound(&self) -> u64 {
-        if self.live == 0 {
-            return u64::MAX;
-        }
-        match &self.backend {
-            Backend::Wheel(w) => w.next_lower_bound(),
-            Backend::Heap(h) => h.heap.peek().map_or(u64::MAX, |r| r.0.at),
-        }
     }
 
     /// Move every front entry with time exactly `at` out of storage and

@@ -14,8 +14,8 @@
 //! * **Typed events** — models define an event `enum`; nothing is boxed on
 //!   the hot path.
 //! * **O(1) calendar** — a ring of time windows over a recycled entry arena,
-//!   with generation-stamped cancellation; the legacy binary heap remains as
-//!   [`CalendarKind::Heap`] and as the differential-testing oracle.
+//!   with generation-stamped cancellation; the binary heap remains as
+//!   [`CalendarKind::Heap`], the differential-testing oracle.
 //! * **Resources as pure state machines** — they own no events; the model
 //!   schedules exactly one completion/slice event per started service, which
 //!   makes the components independently testable.
@@ -52,7 +52,6 @@ pub mod fcfs;
 pub mod monitor;
 pub mod rng;
 pub mod rr;
-pub mod shard;
 pub mod snapshot;
 pub mod time;
 
@@ -63,7 +62,6 @@ pub use fcfs::{FcfsServer, Offer};
 pub use monitor::{BusyTime, Counter, FaultMonitor, Tally, TimeWeighted};
 pub use rng::{StreamRng, Streams};
 pub use rr::{RrCpuBank, SliceEnd, Submit};
-pub use shard::{ShardModel, ShardPlan, ShardedSim};
 pub use snapshot::{
     fnv1a, open, rewind_bisect, seal, Dec, Divergence, Enc, Persist, PersistState, SnapError,
     SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

@@ -3,8 +3,8 @@
 //! configuration changes from perturbing unrelated stochastic elements.
 
 use paradyn_core::{
-    build_with_calendar, run, run_replicated_threads, run_sharded, Arch, DegradationConfig,
-    Forwarding, OverloadRamp, SimConfig, SimMetrics,
+    build_with_calendar, run, run_replicated_threads, Arch, DegradationConfig, Forwarding,
+    OverloadRamp, SimConfig, SimMetrics,
 };
 use paradyn_des::{rewind_bisect, CalendarKind, SimTime};
 
@@ -126,43 +126,11 @@ fn parallel_replication_is_bit_identical_to_serial() {
     }
 }
 
-/// The sharded twin of `parallel_replication_is_bit_identical_to_serial`:
-/// parallelism *within* one run (DESIGN.md §11) must also give exactly the
-/// serial metrics, at every shard count and whether the shards take turns
-/// on one thread or each own an OS thread.
-#[test]
-fn sharded_execution_is_bit_identical_to_serial() {
-    let cfg = SimConfig {
-        arch: Arch::Mpp {
-            forwarding: Forwarding::BinaryTree,
-        },
-        nodes: 31,
-        batch: 16,
-        duration_s: 2.0,
-        ..Default::default()
-    };
-    let serial = run(&cfg);
-    let kind = CalendarKind::default_from_env();
-    let horizon = SimTime::from_secs_f64(cfg.duration_s);
-    for shards in [1u16, 2, 4, 8] {
-        for threads in [1usize, shards as usize] {
-            let sim = run_sharded(&cfg, kind, shards, threads);
-            let events = sim.executed_events();
-            let m = sim.model.metrics(horizon - SimTime::ZERO, events);
-            assert_metrics_bit_identical(
-                &m,
-                &serial,
-                &format!("{shards} shards x {threads} threads"),
-            );
-        }
-    }
-}
-
 /// On a determinism failure, rerun the offending configuration through
 /// `rewind_bisect` and render the first divergent `(time, event)` pair —
 /// turning a bare "metrics differ" assertion into an actionable report.
 fn divergence_report(cfg: &SimConfig) -> String {
-    let kind = CalendarKind::default_from_env();
+    let kind = CalendarKind::Wheel;
     let horizon = SimTime::from_secs_f64(cfg.duration_s);
     match rewind_bisect(
         || build_with_calendar(cfg, kind),

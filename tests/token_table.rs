@@ -283,55 +283,6 @@ fn malformed_snapshots_are_rejected() {
     assert!(load(&bytes[..bytes.len() - 1]).is_err());
 }
 
-#[test]
-fn insert_at_and_absorb_keep_allocation_order() {
-    for n in [10u32, 6000] {
-        // Serial reference: pd 0 allocates n, consumes every third.
-        let mut serial = TokenTable::with_pds(2);
-        let toks: Vec<Token> = (0..n).map(|i| serial.insert(0, batch(i))).collect();
-        for t in toks.iter().step_by(3) {
-            serial.remove(*t).unwrap();
-        }
-        let _ = serial.insert(1, batch(9999));
-
-        // Sharded: pd 0's owner allocates the same sequence; the odd
-        // batches hop to shard 1, arriving newest first.
-        let mut sh0 = TokenTable::with_pds(2);
-        let mine: Vec<Token> = (0..n).map(|i| sh0.insert(0, batch(i))).collect();
-        assert_eq!(mine, toks, "token values are the owner's own history");
-        for t in mine.iter().step_by(3) {
-            sh0.remove(*t).unwrap();
-        }
-        let mut sh1 = TokenTable::with_pds(2);
-        let moving: Vec<Token> = mine
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i % 3 != 0 && i % 2 == 1)
-            .map(|(_, &t)| t)
-            .collect();
-        for &t in moving.iter().rev() {
-            let (seq, b) = sh0.take(t).unwrap();
-            sh1.insert_at(t, seq, b);
-        }
-        for &t in &moving {
-            assert_eq!(sh1.get(t).map(|b| b.count), serial.get(t).map(|b| b.count));
-        }
-        let _ = sh1.insert(1, batch(9999));
-        assert_eq!(sh1.attach_wide(), n > 4096);
-
-        let mut merged = TokenTable::absorb(vec![sh0, sh1], |pd| pd);
-        assert_eq!(merged.len(), serial.len());
-        let order = |t: &TokenTable| t.values().map(|b| b.count).collect::<Vec<_>>();
-        assert_eq!(order(&merged), order(&serial));
-        for (i, &t) in toks.iter().enumerate().filter(|&(i, _)| i % 3 != 0) {
-            assert_eq!(merged.get(t).map(|b| b.count), Some(i as u32));
-        }
-        assert_eq!(save(&merged), save(&serial));
-        assert_eq!(merged.insert(0, batch(1)), serial.insert(0, batch(1)));
-        assert_eq!(merged.insert(1, batch(1)), serial.insert(1, batch(1)));
-    }
-}
-
 /// Figure 26's 1 ms CF-direct point: 256 MPP nodes, one sample per batch,
 /// direct forwarding. The main process saturates and every daemon's
 /// in-flight batches pile up; near 6 s a daemon holds 4,096, and a
