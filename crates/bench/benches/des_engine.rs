@@ -27,7 +27,7 @@ impl Model for Chain {
     fn handle(&mut self, ctx: &mut Ctx<()>, _ev: ()) {
         if self.remaining > 0 {
             self.remaining -= 1;
-            ctx.schedule_in(SimDur::from_nanos(100), ());
+            ctx.post_in(SimDur::from_nanos(100), ());
         }
     }
 }
@@ -44,7 +44,7 @@ impl Model for Timers {
             self.remaining -= 1;
             // Deterministic pseudo-random gap keeps the calendar shuffled.
             let gap = 50 + (id as u64).wrapping_mul(2654435761) % 1000;
-            ctx.schedule_in(SimDur::from_nanos(gap), id);
+            ctx.post_in(SimDur::from_nanos(gap), id);
         }
     }
 }
@@ -60,7 +60,6 @@ fn occupancy_json(s: CalendarStats) -> Json {
     Json::Obj(vec![
         ("live".into(), Json::num(s.live as f64)),
         ("occupied_buckets".into(), Json::num(s.occupied_buckets as f64)),
-        ("slab_slots".into(), Json::num(s.slab_slots as f64)),
         ("arena_slots".into(), Json::num(s.arena_slots as f64)),
     ])
 }
@@ -120,28 +119,18 @@ fn main() {
         let k_name = kind_name(kind);
 
         // Pure calendar overhead: one self-rescheduling event.
-        //
-        // Known cost level: the batched same-timestamp delivery added with
-        // the SoA-arena hot-path work costs this no-tie microbench a
-        // resolved-early `at == now` comparison per event (~5 ns/ev here
-        // against the pre-batching level), in exchange for a large win on
-        // tie-heavy model workloads. Deliberately pinned at this level —
-        // the comparison resolves before the handler call and has no
-        // cheaper sound form — and held by the `event_chain` floors in
-        // BENCH_floor.json; `tests/batch_delivery.rs` keeps the batching
-        // honest.
         let case = format!("event_chain_{n}");
         g.throughput(n);
         let occ = {
             let mut sim = Sim::with_calendar(Chain { remaining: n }, kind);
-            sim.ctx().schedule_at(SimTime::ZERO, ());
+            sim.ctx().post_at(SimTime::ZERO, ());
             sim.ctx().calendar_stats()
         };
         let stats = g.bench_with_setup(
             &format!("{case}/{k_name}"),
             || {
                 let mut sim = Sim::with_calendar(Chain { remaining: n }, kind);
-                sim.ctx().schedule_at(SimTime::ZERO, ());
+                sim.ctx().post_at(SimTime::ZERO, ());
                 sim
             },
             |mut sim| {
@@ -161,7 +150,7 @@ fn main() {
             let occ = {
                 let mut sim = Sim::with_calendar(Timers { remaining: n }, kind);
                 for id in 0..k {
-                    sim.ctx().schedule_at(SimTime::from_nanos(id as u64), id);
+                    sim.ctx().post_at(SimTime::from_nanos(id as u64), id);
                 }
                 sim.ctx().calendar_stats()
             };
@@ -170,7 +159,7 @@ fn main() {
                 || {
                     let mut sim = Sim::with_calendar(Timers { remaining: n }, kind);
                     for id in 0..k {
-                        sim.ctx().schedule_at(SimTime::from_nanos(id as u64), id);
+                        sim.ctx().post_at(SimTime::from_nanos(id as u64), id);
                     }
                     sim
                 },

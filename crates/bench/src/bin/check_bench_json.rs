@@ -142,7 +142,7 @@ fn main() {
         let occ = r
             .get("occupancy")
             .unwrap_or_else(|| fail(format!("{ctx}: missing `occupancy`")));
-        for key in ["live", "occupied_buckets", "slab_slots", "arena_slots"] {
+        for key in ["live", "occupied_buckets", "arena_slots"] {
             require_num(occ, key, &format!("{ctx} occupancy"));
         }
         measured.push((name.clone(), cal.to_string(), eps));

@@ -1,18 +1,16 @@
 //! Event calendars: a ring calendar (the default, selected as
 //! [`CalendarKind::Wheel`]) and the binary-heap oracle, behind one
-//! interface with generation-stamped O(1) cancellation.
+//! schedule/pop interface.
+//!
+//! Every entry is fire-and-forget: once scheduled it stays pending until
+//! it is delivered, so storage holds exactly the pending events and
+//! delivery never has to skip anything.
 //!
 //! ## Why a ring
 //!
-//! The original calendar was a `BinaryHeap` ordered by `(time, seq)` with a
-//! `HashSet<u64>` of cancelled sequence numbers probed on every pop: O(log n)
-//! per operation over the whole pending set, a hash probe per pop, and
-//! unbounded growth of the cancelled set when handles were cancelled after
-//! firing. Cancellation now goes through a slot slab whose generation
-//! stamps make stale handles (fired or already-cancelled) exact no-ops with
-//! no residue, for both backends. The ring replaces the heap's O(log n)
-//! over *all* pending events with an O(1) link into a time window, and
-//! orders only the events of the window being delivered.
+//! A `BinaryHeap` ordered by `(time, seq)` pays O(log n) per operation over
+//! the whole pending set. The ring replaces that with an O(1) link into a
+//! time window, and orders only the events of the window being delivered.
 //!
 //! ## Ring geometry (see DESIGN.md §5.7)
 //!
@@ -57,8 +55,8 @@
 //! 3. `seq` is globally unique, so `(at, seq)` order is total.
 //!
 //! The differential property test (`tests/calendar_diff.rs`) drives random
-//! schedule/cancel/run sequences through both backends and asserts identical
-//! `(time, event)` traces.
+//! schedule/run sequences and tie-heavy self-scheduling plans through both
+//! backends and asserts identical `(time, event)` traces.
 
 use crate::time::SimTime;
 
@@ -87,42 +85,23 @@ fn window(at: u64) -> u64 {
     at >> WINDOW_BITS
 }
 
-/// Handle to a scheduled event, usable for cancellation.
-///
-/// Internally a `(slab index, generation)` pair: the slab slot is recycled
-/// after the event fires (or its cancellation is collected), bumping the
-/// generation, so cancelling a stale handle is a detectable no-op.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventHandle {
-    idx: u32,
-    gen: u32,
-}
-
 /// Which calendar implementation a [`crate::Sim`] uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CalendarKind {
-    /// Ring calendar over a recycled entry arena: O(1) schedule/cancel,
-    /// ordering work only within the current window. The default.
+    /// Ring calendar over a recycled entry arena: O(1) schedule, ordering
+    /// work only within the current window. The default.
     Wheel,
     /// The binary heap: O(log n) schedule/pop, kept as the
     /// differential-testing oracle (selected by name only).
     Heap,
 }
 
-/// Point-in-time occupancy/health counters of a calendar (also emitted into
+/// Point-in-time occupancy counters of a calendar (also emitted into
 /// `BENCH_des.json` by the kernel benches).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CalendarStats {
-    /// Live (schedulable, not cancelled) pending events.
+    /// Pending events.
     pub live: usize,
-    /// Cancelled entries still physically present awaiting lazy collection.
-    /// Bounded by the number of cancels whose entry has not yet reached the
-    /// front — never grows across fired events.
-    pub cancelled_pending: usize,
-    /// Total slab slots ever allocated (high-water mark of concurrency).
-    pub slab_slots: usize,
-    /// Slab slots currently free for reuse.
-    pub slab_free: usize,
     /// Non-empty ring lists: occupied ring windows plus occupied
     /// sub-windows of the current window (0 for the heap backend).
     pub occupied_buckets: usize,
@@ -131,101 +110,10 @@ pub struct CalendarStats {
     pub arena_slots: usize,
 }
 
-// Slab slot lifecycle, packed with the generation into one u32 word
-// (`gen << 2 | state`): cancel is a single compare-and-store, and the whole
-// slab for a few hundred pending events fits in a handful of cache lines.
-// `VACANT` slots are on the free list. The generation wraps in 30 bits; a
-// handle only collides after one slot is reused 2^30 times while the stale
-// handle is still held.
-const STATE_MASK: u32 = 0b11;
-const VACANT: u32 = 0;
-const LIVE: u32 = 1;
-const CANCELLED: u32 = 2;
-
-/// Sentinel slot index for fire-and-forget entries scheduled through the
-/// no-handle path ([`Calendar::schedule_nocancel`]): no slab slot is
-/// allocated, the entry can never be cancelled, and release is a no-op.
-/// Most model events (the ROCC hot path never cancels) take this path, so
-/// the steady state does no slab work at all.
-const NO_SLOT: u32 = u32::MAX;
-
-/// Generation-stamped slot arena: one slot per pending event. O(1) alloc,
-/// cancel, and release; size bounded by peak concurrent pending events.
-struct Slab {
-    slots: Vec<u32>,
-    free: Vec<u32>,
-}
-
-impl Slab {
-    fn new() -> Slab {
-        // lint:allow(hot-path-alloc): construction-time; both vecs start empty
-        Slab { slots: Vec::new(), free: Vec::new() }
-    }
-
-    #[inline]
-    fn alloc(&mut self) -> EventHandle {
-        match self.free.pop() {
-            Some(idx) => {
-                let w = &mut self.slots[idx as usize];
-                debug_assert_eq!(*w & STATE_MASK, VACANT);
-                *w |= LIVE;
-                EventHandle { idx, gen: *w >> 2 }
-            }
-            None => {
-                let idx = self.slots.len() as u32;
-                self.slots.push(LIVE);
-                EventHandle { idx, gen: 0 }
-            }
-        }
-    }
-
-    /// Mark a live, current-generation slot cancelled. Returns whether the
-    /// cancel took effect (stale handles: `false`, and nothing is stored).
-    #[inline]
-    fn cancel(&mut self, h: EventHandle) -> bool {
-        match self.slots.get_mut(h.idx as usize) {
-            Some(w) if *w == (h.gen << 2) | LIVE => {
-                *w = (h.gen << 2) | CANCELLED;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    #[inline]
-    fn is_cancelled(&self, idx: u32) -> bool {
-        // Fire-and-forget entries have no slot and can never be cancelled;
-        // the check short-circuits before touching slab memory.
-        idx != NO_SLOT && self.slots[idx as usize] & STATE_MASK == CANCELLED
-    }
-
-    /// Free a slot whose entry left the calendar (fired or collected),
-    /// bumping the generation so outstanding handles go stale. No-op for
-    /// the [`NO_SLOT`] sentinel.
-    #[inline]
-    fn release(&mut self, idx: u32) {
-        if idx == NO_SLOT {
-            return;
-        }
-        let w = &mut self.slots[idx as usize];
-        debug_assert_ne!(*w & STATE_MASK, VACANT);
-        *w = (*w >> 2).wrapping_add(1) << 2;
-        self.free.push(idx);
-    }
-
-    fn cancelled_pending(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|w| *w & STATE_MASK == CANCELLED)
-            .count()
-    }
-}
-
 /// A pending event as stored by the heap backend.
 struct Entry<E> {
     at: u64,
     seq: u64,
-    slot: u32,
     ev: E,
 }
 
@@ -253,18 +141,16 @@ impl<E> Ord for Entry<E> {
 struct Node<E> {
     at: u64,
     seq: u64,
-    slot: u32,
     next: u32,
     ev: Option<E>,
 }
 
 /// Ordering key of an entry in `due` and the overflow heap: `(at, seq)`
-/// plus its cancellation slot and the arena node holding its payload.
+/// plus the arena node holding its payload.
 #[derive(Clone, Copy)]
 struct Key {
     at: u64,
     seq: u64,
-    slot: u32,
     node: u32,
 }
 
@@ -360,27 +246,20 @@ impl<E> Wheel<E> {
 
     /// Write an entry into a free node (or a new one) and return its index.
     #[inline]
-    fn alloc(&mut self, at: u64, seq: u64, slot: u32, ev: E) -> u32 {
-        if self.free == NIL {
-            self.nodes.push(Node {
-                at,
-                seq,
-                slot,
-                next: NIL,
-                ev: Some(ev),
-            });
-            return (self.nodes.len() - 1) as u32;
-        }
-        let n = self.free;
-        let node = &mut self.nodes[n as usize];
-        self.free = node.next;
-        *node = Node {
+    fn alloc(&mut self, at: u64, seq: u64, ev: E) -> u32 {
+        let node = Node {
             at,
             seq,
-            slot,
             next: NIL,
             ev: Some(ev),
         };
+        if self.free == NIL {
+            self.nodes.push(node);
+            return (self.nodes.len() - 1) as u32;
+        }
+        let n = self.free;
+        self.free = self.nodes[n as usize].next;
+        self.nodes[n as usize] = node;
         n
     }
 
@@ -468,14 +347,9 @@ impl<E> Wheel<E> {
     }
 
     #[inline]
-    fn insert(&mut self, at: u64, seq: u64, slot: u32, ev: E) {
-        let node = self.alloc(at, seq, slot, ev);
-        self.place(Key {
-            at,
-            seq,
-            slot,
-            node,
-        });
+    fn insert(&mut self, at: u64, seq: u64, ev: E) {
+        let node = self.alloc(at, seq, ev);
+        self.place(Key { at, seq, node });
     }
 
     /// Index of the first occupied sub-window of the current window not
@@ -516,14 +390,12 @@ impl<E> Wheel<E> {
         self.subs_occupied[i >> 6] &= !(1 << (i & 63));
         while n != NIL {
             let node = &self.nodes[n as usize];
-            let k = Key {
+            self.due.push(Key {
                 at: node.at,
                 seq: node.seq,
-                slot: node.slot,
                 node: n,
-            };
+            });
             n = node.next;
-            self.due.push(k);
         }
         self.due.sort_unstable();
         true
@@ -564,10 +436,9 @@ impl<E> Wheel<E> {
         true
     }
 
-    /// Deliver the earliest live event with `at <= horizon`, collecting any
-    /// cancelled entries met on the way.
+    /// Deliver the earliest event with `at <= horizon`.
     #[inline(always)]
-    fn pop_next_before(&mut self, slab: &mut Slab, horizon: u64) -> Option<(u64, E)> {
+    fn pop_next_before(&mut self, horizon: u64) -> Option<(u64, E)> {
         loop {
             let Some(&k) = self.due.get(self.head) else {
                 if self.refill(horizon) {
@@ -575,25 +446,20 @@ impl<E> Wheel<E> {
                 }
                 return None;
             };
-            let cancelled = slab.is_cancelled(k.slot);
-            if !cancelled && k.at > horizon {
+            if k.at > horizon {
                 return None;
             }
             self.pop_due();
-            slab.release(k.slot);
-            let ev = self.release(k.node);
-            if !cancelled {
-                return ev.map(|ev| (k.at, ev));
-            }
+            return self.release(k.node).map(|ev| (k.at, ev));
         }
     }
 
-    /// Visit every stored entry as `(at, seq, slot, event)`.
-    fn for_each_entry<'a>(&'a self, mut f: impl FnMut(u64, u64, u32, &'a E)) {
+    /// Visit every pending entry as `(at, seq, event)`.
+    fn for_each_entry<'a>(&'a self, mut f: impl FnMut(u64, u64, &'a E)) {
         let mut visit = |n: u32| {
             let node = &self.nodes[n as usize];
             if let Some(ev) = &node.ev {
-                f(node.at, node.seq, node.slot, ev);
+                f(node.at, node.seq, ev);
             }
         };
         for k in self.due[self.head..]
@@ -621,48 +487,17 @@ impl<E> Wheel<E> {
     }
 }
 
-/// Legacy heap backend: lazy deletion against the shared slab (no more
-/// `HashSet` probe — cancellation state lives in the slab for both
-/// backends).
-struct HeapCal<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-}
-
-impl<E> HeapCal<E> {
-    #[inline(always)]
-    fn pop_next_before(&mut self, slab: &mut Slab, horizon: u64) -> Option<(u64, E)> {
-        loop {
-            let front = self.heap.peek()?;
-            if slab.is_cancelled(front.0.slot) {
-                // lint:allow(panic-path): peek() returned Some above; pop cannot fail
-                let e = self.heap.pop().expect("peeked").0;
-                slab.release(e.slot);
-                continue;
-            }
-            if front.0.at > horizon {
-                return None;
-            }
-            // lint:allow(panic-path): peek() returned Some above; pop cannot fail
-            let e = self.heap.pop().expect("peeked").0;
-            slab.release(e.slot);
-            return Some((e.at, e.ev));
-        }
-    }
-}
-
 // One backend per calendar, built once per run: the ring keeps its bitmaps
 // and sub-window heads inline, so the hot path reaches them without another
 // pointer load.
 #[allow(clippy::large_enum_variant)]
 enum Backend<E> {
     Wheel(Wheel<E>),
-    Heap(HeapCal<E>),
+    Heap(BinaryHeap<Reverse<Entry<E>>>),
 }
 
-/// The pending-event calendar: a backend plus the cancellation slab and the
-/// live-event count.
+/// The pending-event calendar: a backend plus the pending-event count.
 pub(crate) struct Calendar<E> {
-    slab: Slab,
     live: usize,
     backend: Backend<E>,
 }
@@ -670,13 +505,10 @@ pub(crate) struct Calendar<E> {
 impl<E> Calendar<E> {
     pub(crate) fn new(kind: CalendarKind) -> Calendar<E> {
         Calendar {
-            slab: Slab::new(),
             live: 0,
             backend: match kind {
                 CalendarKind::Wheel => Backend::Wheel(Wheel::new()),
-                CalendarKind::Heap => Backend::Heap(HeapCal {
-                    heap: BinaryHeap::new(),
-                }),
+                CalendarKind::Heap => Backend::Heap(BinaryHeap::new()),
             },
         }
     }
@@ -688,154 +520,55 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// Number of live (not cancelled) pending events. Exact: cancellation
-    /// decrements it immediately.
+    /// Number of pending events.
     #[inline]
     pub(crate) fn live(&self) -> usize {
         self.live
     }
 
+    /// Schedule `ev` at `at` with tie-break sequence number `seq`.
     #[inline]
-    pub(crate) fn schedule(&mut self, at: SimTime, seq: u64, ev: E) -> EventHandle {
-        let h = self.slab.alloc();
-        self.insert(at.as_nanos(), seq, h.idx, ev);
-        h
-    }
-
-    /// Schedule a fire-and-forget entry: no handle, no slab slot, not
-    /// cancellable. The hot-path variant — a model that never cancels pays
-    /// zero slab traffic per event.
-    #[inline]
-    pub(crate) fn schedule_nocancel(&mut self, at: SimTime, seq: u64, ev: E) {
-        self.insert(at.as_nanos(), seq, NO_SLOT, ev);
-    }
-
-    #[inline]
-    fn insert(&mut self, at: u64, seq: u64, slot: u32, ev: E) {
+    pub(crate) fn schedule(&mut self, at: SimTime, seq: u64, ev: E) {
+        let at = at.as_nanos();
         self.live += 1;
         match &mut self.backend {
-            Backend::Wheel(w) => w.insert(at, seq, slot, ev),
-            Backend::Heap(hc) => hc.heap.push(Reverse(Entry { at, seq, slot, ev })),
+            Backend::Wheel(w) => w.insert(at, seq, ev),
+            Backend::Heap(h) => h.push(Reverse(Entry { at, seq, ev })),
         }
     }
 
-    /// O(1) cancel. Stale handles (already fired, already cancelled) are
-    /// exact no-ops and leave no residue. Returns whether a live event was
-    /// cancelled.
-    #[inline]
-    pub(crate) fn cancel(&mut self, h: EventHandle) -> bool {
-        let hit = self.slab.cancel(h);
-        if hit {
-            self.live -= 1;
-        }
-        hit
-    }
-
-    /// Deliver the earliest live event with `at <= horizon` in `(time,
-    /// seq)` order (ties in schedule order).
+    /// Deliver the earliest event with `at <= horizon` in `(time, seq)`
+    /// order (ties in schedule order).
     #[inline(always)]
     pub(crate) fn pop_next_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        let popped = match &mut self.backend {
-            Backend::Wheel(w) => w.pop_next_before(&mut self.slab, horizon.as_nanos()),
-            Backend::Heap(h) => h.pop_next_before(&mut self.slab, horizon.as_nanos()),
-        };
-        if let Some((at, ev)) = popped {
-            self.live -= 1;
-            return Some((SimTime::from_nanos(at), ev));
-        }
-        None
-    }
-
-    /// Move every front entry with time exactly `at` out of storage and
-    /// append `(slot, event)` to `out`, in `(time, seq)` order. Slots are
-    /// *not* released and `live` is *not* adjusted: the entries remain
-    /// logically pending (and cancellable) until the driver commits each
-    /// one through [`Calendar::take_batch_entry`] just before dispatch —
-    /// that is what makes a cancellation landing *inside* a batch
-    /// (handler A cancels same-timestamp event B) behave identically to
-    /// one-at-a-time delivery.
-    ///
-    /// Only entries that are provably next in delivery order are drained:
-    /// for the ring, the top run of the current-window heap; for the heap,
-    /// its top run. Same-timestamp events that are *not* there yet (the
-    /// current window is empty and has not advanced) are left in place —
-    /// the driver falls back to [`Calendar::pop_next_before`] and
-    /// re-drains, so nothing is missed.
-    #[inline(never)]
-    pub(crate) fn drain_batch_at(&mut self, at: SimTime, out: &mut Vec<(u32, E)>) {
-        let at = at.as_nanos();
-        match &mut self.backend {
-            Backend::Wheel(w) => {
-                while let Some(&k) = w.due.get(w.head) {
-                    let cancelled = self.slab.is_cancelled(k.slot);
-                    if !cancelled && k.at != at {
-                        break;
-                    }
-                    w.pop_due();
-                    let ev = w.release(k.node);
-                    if cancelled {
-                        self.slab.release(k.slot);
-                    } else if let Some(ev) = ev {
-                        out.push((k.slot, ev));
-                    }
-                }
-            }
-            Backend::Heap(h) => loop {
-                match h.heap.peek() {
-                    Some(Reverse(f)) if self.slab.is_cancelled(f.slot) => {
-                        // lint:allow(panic-path): peek() returned Some above; pop cannot fail
-                        let e = h.heap.pop().expect("peeked").0;
-                        self.slab.release(e.slot);
-                    }
-                    Some(Reverse(f)) if f.at == at => {
-                        // lint:allow(panic-path): peek() returned Some above; pop cannot fail
-                        let e = h.heap.pop().expect("peeked").0;
-                        out.push((e.slot, e.ev));
-                    }
-                    _ => break,
-                }
-            },
-        }
-    }
-
-    /// Commit one entry previously drained by [`Calendar::drain_batch_at`]:
-    /// release its slot and report whether it is still live (i.e. should be
-    /// dispatched). A batch entry cancelled after draining was already
-    /// debited from `live` by [`Calendar::cancel`], exactly as if it were
-    /// still in storage.
-    #[inline]
-    pub(crate) fn take_batch_entry(&mut self, slot: u32) -> bool {
-        if self.slab.is_cancelled(slot) {
-            self.slab.release(slot);
-            false
-        } else {
-            self.slab.release(slot);
-            self.live -= 1;
-            true
-        }
-    }
-
-    /// Visit every live (non-cancelled) entry as `(at, seq, event)`, in
-    /// storage order.
-    fn for_each_live<'a>(&'a self, mut f: impl FnMut(u64, u64, &'a E)) {
-        let mut live = |at, seq, slot, ev| {
-            if !self.slab.is_cancelled(slot) {
-                f(at, seq, ev);
-            }
-        };
-        match &self.backend {
-            Backend::Wheel(w) => w.for_each_entry(live),
+        let horizon = horizon.as_nanos();
+        let (at, ev) = match &mut self.backend {
+            Backend::Wheel(w) => w.pop_next_before(horizon)?,
             Backend::Heap(h) => {
-                for Reverse(e) in h.heap.iter() {
-                    live(e.at, e.seq, e.slot, &e.ev);
+                if h.peek()?.0.at > horizon {
+                    return None;
+                }
+                h.pop().map(|Reverse(e)| (e.at, e.ev))?
+            }
+        };
+        self.live -= 1;
+        Some((SimTime::from_nanos(at), ev))
+    }
+
+    /// Visit every pending entry as `(at, seq, event)`, in storage order.
+    fn for_each_entry<'a>(&'a self, mut f: impl FnMut(u64, u64, &'a E)) {
+        match &self.backend {
+            Backend::Wheel(w) => w.for_each_entry(f),
+            Backend::Heap(h) => {
+                for Reverse(e) in h.iter() {
+                    f(e.at, e.seq, &e.ev);
                 }
             }
         }
     }
 
-    /// Canonical capture of every live entry as `(at_ns, seq, event)`,
-    /// sorted by `(at, seq)`. Cancelled leftovers awaiting lazy collection
-    /// are excluded, so the result is identical across backends and across
+    /// Canonical capture of every pending entry as `(at_ns, seq, event)`,
+    /// sorted by `(at, seq)`: identical across backends and across
     /// window/overflow placement history — the form snapshots serialize.
     pub(crate) fn live_entries(&self) -> Vec<(u64, u64, E)>
     where
@@ -843,18 +576,18 @@ impl<E> Calendar<E> {
     {
         let mut out = Vec::with_capacity(self.live);
         // lint:allow(hot-path-alloc): snapshot canonicalization clones each pending event once; runs only on snapshot/persist, never in the delivery loop
-        self.for_each_live(|at, seq, ev| out.push((at, seq, ev.clone())));
+        self.for_each_entry(|at, seq, ev| out.push((at, seq, ev.clone())));
         out.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         debug_assert_eq!(out.len(), self.live);
         out
     }
 
-    /// The earliest live `(at_ns, seq)` with a reference to its event,
-    /// without disturbing the backend. O(live) scan — a diagnostic/test
+    /// The earliest pending `(at_ns, seq)` with a reference to its event,
+    /// without disturbing the backend. O(pending) scan — a diagnostic/test
     /// path, not the delivery path.
     pub(crate) fn peek_min(&self) -> Option<(u64, u64, &E)> {
         let mut best: Option<(u64, u64, &E)> = None;
-        self.for_each_live(|at, seq, ev| match best {
+        self.for_each_entry(|at, seq, ev| match best {
             Some((bat, bseq, _)) if (bat, bseq) <= (at, seq) => {}
             _ => best = Some((at, seq, ev)),
         });
@@ -864,13 +597,10 @@ impl<E> Calendar<E> {
     pub(crate) fn stats(&self) -> CalendarStats {
         let (occupied_buckets, arena_slots) = match &self.backend {
             Backend::Wheel(w) => (w.occupied_lists(), w.nodes.len()),
-            Backend::Heap(h) => (0, h.heap.capacity()),
+            Backend::Heap(h) => (0, h.capacity()),
         };
         CalendarStats {
             live: self.live,
-            cancelled_pending: self.slab.cancelled_pending(),
-            slab_slots: self.slab.slots.len(),
-            slab_free: self.slab.free.len(),
             occupied_buckets,
             arena_slots,
         }
@@ -973,7 +703,7 @@ mod tests {
             let stride = WINDOW_NS * (1 + burst * 7);
             for i in 0..PEAK {
                 let at = now + (i * 7_919 % PEAK) * stride + burst;
-                c.schedule_nocancel(SimTime::from_nanos(at), seq, i as u32);
+                c.schedule(SimTime::from_nanos(at), seq, i as u32);
                 seq += 1;
             }
             assert_eq!(c.live(), PEAK as usize);
@@ -1059,73 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_is_exact_and_leaves_no_residue() {
-        for mut c in both() {
-            let h1 = c.schedule(SimTime::from_nanos(10), 0, 1);
-            let h2 = c.schedule(SimTime::from_nanos(20), 1, 2);
-            assert_eq!(c.live(), 2);
-            assert!(c.cancel(h1));
-            assert_eq!(c.live(), 1, "pending count is exact after cancel");
-            assert!(!c.cancel(h1), "double cancel is a stale no-op");
-            assert_eq!(drain(&mut c), vec![(20, 2)]);
-            // Cancel after fire: stale generation, no storage.
-            assert!(!c.cancel(h2));
-            let s = c.stats();
-            assert_eq!(
-                (s.live, s.cancelled_pending),
-                (0, 0),
-                "{:?}: cancel-after-fire left residue",
-                c.kind()
-            );
-            assert_eq!(s.slab_free, s.slab_slots, "all slots recycled");
-        }
-    }
-
-    #[test]
-    fn repeated_cancel_after_fire_is_bounded() {
-        // The old HashSet design leaked one u64 per cancel-after-fire;
-        // the slab must stay at its concurrency high-water mark.
-        for mut c in both() {
-            let mut handles = vec![];
-            for round in 0..1_000u64 {
-                let h = c.schedule(SimTime::from_nanos(round), round, 0);
-                handles.push(h);
-                assert!(c.pop_next_before(SimTime::MAX).is_some());
-                for &h in &handles {
-                    c.cancel(h); // every one is stale
-                }
-            }
-            let s = c.stats();
-            assert_eq!(s.cancelled_pending, 0);
-            assert!(
-                s.slab_slots <= 2,
-                "{:?}: slab grew to {} slots",
-                c.kind(),
-                s.slab_slots
-            );
-        }
-    }
-
-    #[test]
-    fn horizon_is_respected_even_past_cancelled_entries() {
-        for mut c in both() {
-            let h = c.schedule(SimTime::from_nanos(10), 0, 1);
-            c.schedule(SimTime::from_nanos(100), 1, 2);
-            c.cancel(h);
-            assert_eq!(
-                c.pop_next_before(SimTime::from_nanos(50)),
-                None,
-                "{:?}: popped past the horizon over a cancelled entry",
-                c.kind()
-            );
-            assert_eq!(
-                c.pop_next_before(SimTime::from_nanos(100)),
-                Some((SimTime::from_nanos(100), 2))
-            );
-        }
-    }
-
-    #[test]
     fn schedule_earlier_than_current_window_after_horizon_stop() {
         let t = 3 * WINDOW_NS + 100;
         for mut c in both() {
@@ -1191,7 +854,6 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.live, 10);
         assert_eq!(s.occupied_buckets, 9);
-        assert_eq!(s.slab_slots, 10);
         assert_eq!(s.arena_slots, 10);
         drain(&mut c);
         let s = c.stats();

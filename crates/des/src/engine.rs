@@ -1,18 +1,18 @@
-//! The event calendar and simulation driver.
+//! The simulation driver: a model, its clock and its event calendar.
 //!
 //! The kernel is deliberately monomorphic: a model defines a plain `enum` of
-//! events and implements [`Model::handle`]. Events are never boxed, the
-//! calendar (a ring calendar over a recycled entry arena by default, with
-//! the binary heap as the oracle callers select by name — see
-//! [`crate::calendar`]) delivers them in `(time, sequence)` order with ties
-//! broken in schedule order, so a given model + seed is fully deterministic
-//! regardless of the backend.
+//! events and implements [`Model::handle`]. Events are never boxed. A
+//! handler schedules follow-ups through [`Ctx::post_at`]/[`Ctx::post_in`],
+//! and a scheduled event always fires. The calendar (a ring calendar over a
+//! recycled entry arena by default, with the binary heap as the oracle
+//! callers select by name — see [`crate::calendar`]) delivers events one at
+//! a time in `(time, sequence)` order with ties broken in schedule order,
+//! so a given model + seed is fully deterministic regardless of the
+//! backend.
 
 use crate::calendar::{Calendar, CalendarKind, CalendarStats};
 use crate::snapshot::{self, Dec, Enc, Persist, PersistState, SnapError};
 use crate::time::{SimDur, SimTime};
-
-pub use crate::calendar::EventHandle;
 
 /// Bit position of the scheduling-cell label inside a sequence number:
 /// `seq = (cell << CELL_SHIFT) | per-cell counter`. Comparing packed
@@ -124,30 +124,8 @@ impl<E> Ctx<E> {
         self.now
     }
 
-    /// Schedule `ev` to fire at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past; causality violations are model bugs.
-    #[inline]
-    pub fn schedule_at(&mut self, at: SimTime, ev: E) -> EventHandle {
-        assert!(at >= self.now, "cannot schedule into the past");
-        let seq = self.seq.alloc();
-        self.scheduled += 1;
-        self.calendar.schedule(at, seq, ev)
-    }
-
-    /// Schedule `ev` to fire after a delay of `d`.
-    #[inline]
-    pub fn schedule_in(&mut self, d: SimDur, ev: E) -> EventHandle {
-        self.schedule_at(self.now + d, ev)
-    }
-
-    /// Schedule `ev` at absolute time `at` with no cancellation handle.
-    ///
-    /// The fire-and-forget fast path: no slab slot is allocated, so a model
-    /// that never cancels (the ROCC hot path) pays zero cancellation
-    /// bookkeeping per event. Delivery order is identical to
-    /// [`Ctx::schedule_at`].
+    /// Schedule `ev` to fire at absolute time `at`. Events at the same time
+    /// fire in the order they were scheduled (within a scheduling cell).
     ///
     /// # Panics
     /// Panics if `at` is in the past; causality violations are model bugs.
@@ -156,23 +134,13 @@ impl<E> Ctx<E> {
         assert!(at >= self.now, "cannot schedule into the past");
         let seq = self.seq.alloc();
         self.scheduled += 1;
-        self.calendar.schedule_nocancel(at, seq, ev);
+        self.calendar.schedule(at, seq, ev);
     }
 
-    /// Schedule `ev` after a delay of `d` with no cancellation handle
-    /// (see [`Ctx::post_at`]).
+    /// Schedule `ev` to fire after a delay of `d` (see [`Ctx::post_at`]).
     #[inline]
     pub fn post_in(&mut self, d: SimDur, ev: E) {
         self.post_at(self.now + d, ev);
-    }
-
-    /// Cancel a previously scheduled event in O(1). Cancelling an event that
-    /// has already fired (or was already cancelled) is an exact no-op: the
-    /// handle's generation stamp is stale, so nothing is stored and nothing
-    /// can accumulate across long runs.
-    #[inline]
-    pub fn cancel(&mut self, h: EventHandle) {
-        self.calendar.cancel(h);
     }
 
     /// Number of events executed so far.
@@ -180,21 +148,19 @@ impl<E> Ctx<E> {
         self.executed
     }
 
-    /// Number of events scheduled so far (including cancelled ones).
+    /// Number of events scheduled so far.
     pub fn scheduled_events(&self) -> u64 {
         self.scheduled
     }
 
-    /// Number of **live** events pending in the calendar. Exact: cancelled
-    /// events are excluded the moment [`Ctx::cancel`] takes effect, not when
-    /// their slot is lazily collected.
+    /// Number of events pending in the calendar: scheduled and not yet
+    /// fired.
     pub fn pending_events(&self) -> usize {
         self.calendar.live()
     }
 
-    /// Occupancy/health counters of the calendar (slab size, cancelled
-    /// backlog, list occupancy, arena size). Cheap enough for test
-    /// assertions and bench reporting.
+    /// Occupancy counters of the calendar (pending events, list occupancy,
+    /// arena size). Cheap enough for test assertions and bench reporting.
     pub fn calendar_stats(&self) -> CalendarStats {
         self.calendar.stats()
     }
@@ -202,13 +168,6 @@ impl<E> Ctx<E> {
     /// Which calendar backend this context runs on.
     pub fn calendar_kind(&self) -> CalendarKind {
         self.calendar.kind()
-    }
-
-    /// Deliver the next live event at or before `horizon`, advancing the
-    /// clock. `None` leaves the clock untouched.
-    #[inline(always)]
-    fn pop_next_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        self.calendar.pop_next_before(horizon)
     }
 
     /// The earliest pending `(time, event)` without executing or
@@ -287,16 +246,13 @@ impl<E> Ctx<E> {
                 return Err(SnapError::Malformed("calendar entries not strictly sorted"));
             }
             prev = Some((at, seq));
-            // Handles never survive a restore (slab slots and generations
-            // are rebuilt), so restored entries take the no-slab path.
-            ctx.calendar.schedule_nocancel(SimTime::from_nanos(at), seq, ev);
+            ctx.calendar.schedule(SimTime::from_nanos(at), seq, ev);
         }
         ctx.seq.counters = counters;
         ctx.executed = executed;
         ctx.scheduled = scheduled;
         Ok(ctx)
     }
-
 }
 
 /// The simulation driver: a model plus its event calendar.
@@ -304,10 +260,6 @@ pub struct Sim<M: Model> {
     /// The model under simulation; accessible for inspection between runs.
     pub model: M,
     ctx: Ctx<M::Event>,
-    /// Reusable scratch for batched same-timestamp delivery in
-    /// [`Sim::run_until`]. Always empty between calls; kept here so the
-    /// steady state never reallocates it.
-    batch: Vec<(u32, M::Event)>,
 }
 
 impl<M: Model> Sim<M> {
@@ -323,8 +275,6 @@ impl<M: Model> Sim<M> {
         Sim {
             model,
             ctx: Ctx::new(kind),
-            // lint:allow(hot-path-alloc): construction-time batch buffer
-            batch: Vec::new(),
         }
     }
 
@@ -344,9 +294,11 @@ impl<M: Model> Sim<M> {
         self.step_bounded(SimTime::MAX)
     }
 
+    /// Execute the next event at or before `horizon`, if any. Returns
+    /// `false`, leaving the clock untouched, when there is none.
     #[inline]
     fn step_bounded(&mut self, horizon: SimTime) -> bool {
-        match self.ctx.pop_next_before(horizon) {
+        match self.ctx.calendar.pop_next_before(horizon) {
             Some((at, ev)) => {
                 debug_assert!(at >= self.ctx.now);
                 self.ctx.now = at;
@@ -362,95 +314,11 @@ impl<M: Model> Sim<M> {
     ///
     /// Events scheduled exactly at the horizon still fire; the clock is left
     /// at the horizon (or at the last event if the calendar drained first).
-    /// Only *live* events are consulted: a cancelled entry before the
-    /// horizon never causes a later event beyond it to fire early.
-    ///
-    /// Delivery is **batched by timestamp**: after the first event of an
-    /// instant fires, the rest of the same-timestamp run is drained from
-    /// the calendar front in one call and dispatched as a slice in the
-    /// pinned `(time, seq)` order, amortizing the pop machinery across the
-    /// batch. Observable behavior is bit-identical to one-at-a-time
-    /// [`Sim::step`] delivery (`tests/batch_delivery.rs` proves it against
-    /// the heap oracle): each drained entry is re-checked for cancellation
-    /// *immediately before* its dispatch, so a handler cancelling a
-    /// same-timestamp successor suppresses it exactly as it would have
-    /// one-at-a-time, and events scheduled *at* the current instant by a
-    /// batch member still fire within the same instant, after it.
     pub fn run_until(&mut self, horizon: SimTime) {
-        // Tie gate: the clock *before* it advances is the previous event's
-        // time, so `at == now` detects the second member of a tie run with
-        // no loop-carried register (nothing extra live across the handler
-        // call, hence no per-event spill). The comparison can fire
-        // spuriously — the first event of a run, or an event landing
-        // exactly on a previous horizon stop — but a spurious drain of an
-        // instant with no further events is a single outlined call that
-        // finds nothing; delivery order is identical either way. The
-        // *second* member of a real tie still arrives through an ordinary
-        // pop — identical either way — and from there the rest of the
-        // instant is drained as a batch.
-        while let Some((at, ev)) = self.ctx.pop_next_before(horizon) {
-            debug_assert!(at >= self.ctx.now);
-            if at == self.ctx.now {
-                // The branch resolves *before* the handler call, so the
-                // no-tie loop keeps nothing extra live across it.
-                self.step_tie(at, ev);
-                continue;
-            }
-            self.ctx.now = at;
-            self.ctx.executed += 1;
-            self.model.handle(&mut self.ctx, ev);
-        }
+        while self.step_bounded(horizon) {}
         if self.ctx.now < horizon {
             self.ctx.now = horizon;
         }
-    }
-
-    /// Deliver the rest of the instant `at` as a batch (see
-    /// [`Sim::run_until`]); the caller has just dispatched the instant's
-    /// first event and proven a same-timestamp successor exists.
-    /// Dispatch an event that shares its timestamp with the previous one
-    /// (or lands exactly on the prior stop/start time — a spurious but
-    /// harmless match), then drain the rest of the instant as a batch.
-    /// Outlined as one cold unit so [`Sim::run_until`]'s no-tie loop pays
-    /// only the resolved-early comparison.
-    #[cold]
-    #[inline(never)]
-    fn step_tie(&mut self, at: SimTime, ev: M::Event) {
-        self.ctx.now = at;
-        self.ctx.executed += 1;
-        self.model.handle(&mut self.ctx, ev);
-        self.drain_instant(at);
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn drain_instant(&mut self, at: SimTime) {
-        let mut buf = std::mem::take(&mut self.batch);
-        loop {
-            self.ctx.calendar.drain_batch_at(at, &mut buf);
-            if buf.is_empty() {
-                // Same-instant events can still sit in a list not yet
-                // moved into the delivery run: one ordinary pop moves and
-                // delivers the next, then draining resumes. `None` ends
-                // the instant.
-                match self.ctx.pop_next_before(at) {
-                    Some((t, ev)) => {
-                        debug_assert_eq!(t, at);
-                        self.ctx.executed += 1;
-                        self.model.handle(&mut self.ctx, ev);
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-            for (slot, ev) in buf.drain(..) {
-                if self.ctx.calendar.take_batch_entry(slot) {
-                    self.ctx.executed += 1;
-                    self.model.handle(&mut self.ctx, ev);
-                }
-            }
-        }
-        self.batch = buf;
     }
 
     /// Run until the calendar is empty or `max_events` more events have fired.
@@ -542,12 +410,7 @@ where
         if !r.is_empty() {
             return Err(SnapError::TrailingBytes);
         }
-        Ok(Sim {
-            model,
-            ctx,
-            // lint:allow(hot-path-alloc): construction-time batch buffer
-            batch: Vec::new(),
-        })
+        Ok(Sim { model, ctx })
     }
 }
 
@@ -567,7 +430,7 @@ mod tests {
         fn handle(&mut self, ctx: &mut Ctx<u32>, ev: u32) {
             self.fired.push(ev);
             if self.respawn && ev < 10 {
-                ctx.schedule_in(SimDur::from_nanos(1), ev + 1);
+                ctx.post_in(SimDur::from_nanos(1), ev + 1);
             }
         }
     }
@@ -581,9 +444,9 @@ mod tests {
     #[test]
     fn fires_in_time_order() {
         for mut sim in toy(false) {
-            sim.ctx().schedule_at(SimTime::from_nanos(30), 3);
-            sim.ctx().schedule_at(SimTime::from_nanos(10), 1);
-            sim.ctx().schedule_at(SimTime::from_nanos(20), 2);
+            sim.ctx().post_at(SimTime::from_nanos(30), 3);
+            sim.ctx().post_at(SimTime::from_nanos(10), 1);
+            sim.ctx().post_at(SimTime::from_nanos(20), 2);
             sim.run_until(SimTime::MAX);
             assert_eq!(sim.model.fired, vec![1, 2, 3]);
             assert_eq!(sim.executed_events(), 3);
@@ -595,7 +458,7 @@ mod tests {
         for mut sim in toy(false) {
             let t = SimTime::from_nanos(5);
             for i in 0..100 {
-                sim.ctx().schedule_at(t, i);
+                sim.ctx().post_at(t, i);
             }
             sim.run_until(SimTime::MAX);
             assert_eq!(sim.model.fired, (0..100).collect::<Vec<_>>());
@@ -605,7 +468,7 @@ mod tests {
     #[test]
     fn chained_scheduling_advances_clock() {
         for mut sim in toy(true) {
-            sim.ctx().schedule_at(SimTime::from_nanos(0), 0);
+            sim.ctx().post_at(SimTime::from_nanos(0), 0);
             sim.run_until(SimTime::from_nanos(1_000));
             assert_eq!(sim.model.fired.len(), 11);
             // After the calendar drains, the clock advances to the horizon.
@@ -616,8 +479,8 @@ mod tests {
     #[test]
     fn horizon_cuts_off_and_clock_lands_on_horizon() {
         for mut sim in toy(false) {
-            sim.ctx().schedule_at(SimTime::from_nanos(10), 1);
-            sim.ctx().schedule_at(SimTime::from_nanos(90), 2);
+            sim.ctx().post_at(SimTime::from_nanos(10), 1);
+            sim.ctx().post_at(SimTime::from_nanos(90), 2);
             sim.run_until(SimTime::from_nanos(50));
             assert_eq!(sim.model.fired, vec![1]);
             assert_eq!(sim.now().as_nanos(), 50);
@@ -630,76 +493,21 @@ mod tests {
     #[test]
     fn events_at_horizon_fire() {
         for mut sim in toy(false) {
-            sim.ctx().schedule_at(SimTime::from_nanos(50), 7);
+            sim.ctx().post_at(SimTime::from_nanos(50), 7);
             sim.run_until(SimTime::from_nanos(50));
             assert_eq!(sim.model.fired, vec![7]);
         }
     }
 
     #[test]
-    fn cancellation_suppresses_event() {
+    fn pending_events_counts_unfired_events() {
         for mut sim in toy(false) {
-            let h = sim.ctx().schedule_at(SimTime::from_nanos(10), 1);
-            sim.ctx().schedule_at(SimTime::from_nanos(20), 2);
-            sim.ctx().cancel(h);
-            sim.run_until(SimTime::MAX);
-            assert_eq!(sim.model.fired, vec![2]);
-            // Cancelling again (or after firing) is harmless.
-            sim.ctx().cancel(h);
-        }
-    }
-
-    #[test]
-    fn cancelled_entry_does_not_drag_later_events_before_horizon() {
-        // Regression: the old `run_until` peeked the raw heap, saw the
-        // cancelled 10 ns entry under the 50 ns horizon, and then `step()`
-        // popped *past* it, firing the 90 ns event 40 ns early.
-        for mut sim in toy(false) {
-            let h = sim.ctx().schedule_at(SimTime::from_nanos(10), 1);
-            sim.ctx().schedule_at(SimTime::from_nanos(90), 2);
-            sim.ctx().cancel(h);
-            sim.run_until(SimTime::from_nanos(50));
-            assert_eq!(sim.model.fired, vec![], "event beyond horizon fired early");
-            assert_eq!(sim.now().as_nanos(), 50);
-            sim.run_until(SimTime::from_nanos(90));
-            assert_eq!(sim.model.fired, vec![2]);
-        }
-    }
-
-    #[test]
-    fn cancel_after_fire_leaves_no_residue() {
-        // Regression: the old design inserted every stale cancel into a
-        // HashSet that nothing ever drained.
-        for mut sim in toy(false) {
-            let mut handles = vec![];
-            for i in 0..500u64 {
-                handles.push(sim.ctx().schedule_at(SimTime::from_nanos(i), i as u32));
-            }
-            sim.run_until(SimTime::MAX);
-            for h in handles {
-                sim.ctx().cancel(h);
-                sim.ctx().cancel(h);
-            }
-            let s = sim.ctx().calendar_stats();
-            assert_eq!(s.cancelled_pending, 0, "stale cancels accumulated");
-            assert_eq!(s.live, 0);
-            assert_eq!(s.slab_free, s.slab_slots, "all slab slots recycled");
-        }
-    }
-
-    #[test]
-    fn pending_events_counts_live_only() {
-        for mut sim in toy(false) {
-            let h = sim.ctx().schedule_at(SimTime::from_nanos(10), 1);
-            sim.ctx().schedule_at(SimTime::from_nanos(20), 2);
-            sim.ctx().schedule_at(SimTime::from_nanos(30), 3);
+            sim.ctx().post_at(SimTime::from_nanos(10), 1);
+            sim.ctx().post_at(SimTime::from_nanos(20), 2);
+            sim.ctx().post_at(SimTime::from_nanos(30), 3);
             assert_eq!(sim.ctx().pending_events(), 3);
-            sim.ctx().cancel(h);
-            assert_eq!(
-                sim.ctx().pending_events(),
-                2,
-                "cancelled-but-unpopped entries must not be counted"
-            );
+            sim.run_until(SimTime::from_nanos(15));
+            assert_eq!(sim.ctx().pending_events(), 2);
             sim.run_until(SimTime::MAX);
             assert_eq!(sim.ctx().pending_events(), 0);
         }
@@ -708,7 +516,7 @@ mod tests {
     #[test]
     fn run_events_bounds_execution() {
         for mut sim in toy(true) {
-            sim.ctx().schedule_at(SimTime::from_nanos(0), 0);
+            sim.ctx().post_at(SimTime::from_nanos(0), 0);
             let n = sim.run_events(3);
             assert_eq!(n, 3);
             assert_eq!(sim.model.fired, vec![0, 1, 2]);
@@ -719,8 +527,8 @@ mod tests {
     #[should_panic(expected = "past")]
     fn scheduling_into_the_past_panics() {
         let mut sim = Sim::new(Toy { fired: vec![], respawn: false });
-        sim.ctx().schedule_at(SimTime::from_nanos(10), 1);
+        sim.ctx().post_at(SimTime::from_nanos(10), 1);
         sim.run_until(SimTime::from_nanos(10));
-        sim.ctx().schedule_at(SimTime::from_nanos(5), 2);
+        sim.ctx().post_at(SimTime::from_nanos(5), 2);
     }
 }

@@ -13,9 +13,12 @@
 //! * **Integer time** — exact event ordering, bit-reproducible runs.
 //! * **Typed events** — models define an event `enum`; nothing is boxed on
 //!   the hot path.
-//! * **O(1) calendar** — a ring of time windows over a recycled entry arena,
-//!   with generation-stamped cancellation; the binary heap remains as
-//!   [`CalendarKind::Heap`], the differential-testing oracle.
+//! * **O(1) calendar** — a ring of time windows over a recycled entry arena;
+//!   the binary heap remains as [`CalendarKind::Heap`], the
+//!   differential-testing oracle.
+//! * **One delivery path** — events are fire-and-forget
+//!   ([`Ctx::post_at`]/[`Ctx::post_in`]) and are delivered one at a time in
+//!   `(time, sequence)` order, and every scheduled event fires.
 //! * **Resources as pure state machines** — they own no events; the model
 //!   schedules exactly one completion/slice event per started service, which
 //!   makes the components independently testable.
@@ -33,13 +36,13 @@
 //!     fn handle(&mut self, ctx: &mut Ctx<()>, _ev: ()) {
 //!         self.count += 1;
 //!         if self.count < 10 {
-//!             ctx.schedule_in(SimDur::from_micros_f64(100.0), ());
+//!             ctx.post_in(SimDur::from_micros_f64(100.0), ());
 //!         }
 //!     }
 //! }
 //!
 //! let mut sim = Sim::new(Ping { count: 0 });
-//! sim.ctx().schedule_at(SimTime::ZERO, ());
+//! sim.ctx().post_at(SimTime::ZERO, ());
 //! sim.run_until(SimTime::from_secs_f64(1.0));
 //! assert_eq!(sim.model.count, 10);
 //! assert_eq!(sim.executed_events(), 10);
@@ -56,10 +59,10 @@ pub mod snapshot;
 pub mod time;
 
 pub use calendar::{CalendarKind, CalendarStats, RING_SPAN_NS, RING_WINDOWS, WINDOW_NS};
-pub use engine::{Ctx, EventHandle, Model, Sim};
+pub use engine::{Ctx, Model, Sim};
 pub use fault::FaultSchedule;
 pub use fcfs::{FcfsServer, Offer};
-pub use monitor::{BusyTime, Counter, FaultMonitor, Tally, TimeWeighted};
+pub use monitor::{BusyTime, FaultMonitor, Tally};
 pub use rng::{StreamRng, Streams};
 pub use rr::{RrCpuBank, SliceEnd, Submit};
 pub use snapshot::{

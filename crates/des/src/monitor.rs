@@ -1,4 +1,5 @@
-//! Statistics monitors for observation-based and time-weighted measures.
+//! Statistics monitors: an observation tally, a busy-time accumulator and
+//! a fault monitor.
 
 use crate::snapshot::{Dec, Enc, Persist, SnapError};
 use crate::time::{SimDur, SimTime};
@@ -79,26 +80,6 @@ impl Tally {
     pub fn sum(&self) -> f64 {
         self.mean() * self.n as f64
     }
-
-    /// Merge another tally into this one (parallel-friendly combination).
-    pub fn merge(&mut self, other: &Tally) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl Persist for Tally {
@@ -161,98 +142,6 @@ impl Persist for BusyTime {
         Ok(BusyTime {
             total_ns: r.take_u64()?,
         })
-    }
-}
-
-/// Piecewise-constant time-weighted statistic (e.g. queue length over time).
-#[derive(Clone, Copy, Debug)]
-pub struct TimeWeighted {
-    last_t: SimTime,
-    last_v: f64,
-    integral: f64,
-    max: f64,
-}
-
-impl TimeWeighted {
-    /// Start tracking at `t0` with initial value `v0`.
-    pub fn new(t0: SimTime, v0: f64) -> Self {
-        TimeWeighted {
-            last_t: t0,
-            last_v: v0,
-            integral: 0.0,
-            max: v0,
-        }
-    }
-
-    /// Record that the tracked value becomes `v` at time `t`.
-    pub fn set(&mut self, t: SimTime, v: f64) {
-        debug_assert!(t >= self.last_t);
-        self.integral += self.last_v * (t - self.last_t).as_secs_f64();
-        self.last_t = t;
-        self.last_v = v;
-        self.max = self.max.max(v);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> f64 {
-        self.last_v
-    }
-
-    /// Largest value seen.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Time-average of the value over `[t0, t]`, where `t0` is the
-    /// construction instant. Flushes the final segment up to `t`.
-    pub fn time_average(&mut self, t0: SimTime, t: SimTime) -> f64 {
-        self.set(t, self.last_v);
-        let span = (t - t0).as_secs_f64();
-        if span <= 0.0 {
-            self.last_v
-        } else {
-            self.integral / span
-        }
-    }
-}
-
-/// Monotone event counter with rate helper.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Counter {
-    n: u64,
-}
-
-impl Counter {
-    /// Fresh counter.
-    pub fn new() -> Self {
-        Counter { n: 0 }
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.n += 1;
-    }
-
-    /// Increment by `k`.
-    #[inline]
-    pub fn add(&mut self, k: u64) {
-        self.n += k;
-    }
-
-    /// Current count.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Events per second over `span`.
-    pub fn rate(&self, span: SimDur) -> f64 {
-        let s = span.as_secs_f64();
-        if s <= 0.0 {
-            0.0
-        } else {
-            self.n as f64 / s
-        }
     }
 }
 
@@ -383,54 +272,12 @@ mod tests {
     }
 
     #[test]
-    fn tally_merge_matches_bulk() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 3.0).collect();
-        let mut bulk = Tally::new();
-        for &x in &data {
-            bulk.record(x);
-        }
-        let mut a = Tally::new();
-        let mut b = Tally::new();
-        for (i, &x) in data.iter().enumerate() {
-            if i % 3 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), bulk.count());
-        assert!((a.mean() - bulk.mean()).abs() < 1e-9);
-        assert!((a.variance() - bulk.variance()).abs() < 1e-9);
-    }
-
-    #[test]
     fn busy_time_utilization() {
         let mut b = BusyTime::new();
         b.add(SimDur::from_secs_f64(0.25));
         b.add(SimDur::from_secs_f64(0.25));
         assert!((b.utilization(SimDur::from_secs_f64(1.0)) - 0.5).abs() < 1e-12);
         assert_eq!(BusyTime::new().utilization(SimDur::ZERO), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let t0 = SimTime::ZERO;
-        let mut tw = TimeWeighted::new(t0, 0.0);
-        tw.set(SimTime::from_secs_f64(1.0), 2.0); // 0 for 1s
-        tw.set(SimTime::from_secs_f64(3.0), 1.0); // 2 for 2s
-        let avg = tw.time_average(t0, SimTime::from_secs_f64(4.0)); // 1 for 1s
-        assert!((avg - (0.0 + 4.0 + 1.0) / 4.0).abs() < 1e-12);
-        assert_eq!(tw.max(), 2.0);
-    }
-
-    #[test]
-    fn counter_rate() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(9);
-        assert_eq!(c.count(), 10);
-        assert!((c.rate(SimDur::from_secs_f64(2.0)) - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! After a warmup long enough for every buffer on the delivery loop to
 //! reach its stable capacity — the ring calendar's entry arena, its `due`
-//! run and overflow heap, the engine's batch buffer, the slot slab, the
-//! heap backend's `BinaryHeap` — a steady-state window of ~10^5 delivered
-//! events must produce **zero** heap operations, for both calendar
-//! backends.
+//! run and overflow heap, the heap backend's `BinaryHeap` — a steady-state
+//! window of ~10^5 delivered events must produce **zero** heap operations,
+//! for both calendar backends.
 //!
 //! The ring's window and sub-window lists are threaded through the arena,
 //! so its storage depends only on the peak number of pending entries and
@@ -33,7 +32,7 @@ impl Model for Timers {
     type Event = u32;
     fn handle(&mut self, ctx: &mut Ctx<u32>, id: u32) {
         let gap = 2_000 + (id as u64).wrapping_mul(2654435761) % 6_000;
-        ctx.schedule_in(SimDur::from_nanos(gap), id);
+        ctx.post_in(SimDur::from_nanos(gap), id);
     }
 }
 
@@ -48,7 +47,7 @@ fn steady_state(kind: CalendarKind) -> (u64, u64) {
 
     let mut sim = Sim::with_calendar(Timers, kind);
     for id in 0..TIMERS {
-        sim.ctx().schedule_at(SimTime::from_nanos(id as u64), id);
+        sim.ctx().post_at(SimTime::from_nanos(id as u64), id);
     }
     sim.run_until(SimTime::from_nanos(WARMUP));
     let warm_events = sim.executed_events();

@@ -459,9 +459,11 @@ pub fn rng_registry_collisions(registry: &[StreamIdEntry]) -> Vec<Finding> {
 }
 
 /// `hermeticity`: every `use` / `extern crate` first segment must be std,
-/// a path keyword, a workspace crate, or an item declared in the same
-/// file — Rust 2018 uniform paths let `use bounds::X;` follow a local
-/// `mod bounds;`, and `use DetailedState as S;` alias a local enum.
+/// a path keyword, a workspace crate, an item declared in the same file,
+/// or a name an earlier `use` of the same file brought into scope — Rust
+/// 2018 uniform paths let `use bounds::X;` follow a local `mod bounds;`,
+/// `use DetailedState as S;` alias a local enum, and
+/// `use CalendarKind::{Heap, Wheel};` follow `use paradyn_des::CalendarKind;`.
 /// `crate_names` comes from the workspace manifests (underscore form);
 /// `local_items` from the item model ([`crate::model::Workspace::declared_names`]),
 /// which replaces the keyword-scan heuristic this rule used to carry.
@@ -470,11 +472,10 @@ pub fn hermeticity(
     crate_names: &[String],
     local_items: &[String],
 ) -> Vec<Finding> {
-    let allowed = |seg: &str| {
-        STD_SEGMENTS.contains(&seg)
-            || crate_names.iter().any(|c| c == seg)
-            || local_items.iter().any(|m| m == seg)
-    };
+    // Names earlier `use` items imported: each leaf of a use tree (the
+    // last segment, or the `as` alias), i.e. an identifier directly
+    // followed by `,`, `}` or `;`.
+    let mut imported: Vec<&str> = vec![];
     let mut out = vec![];
     for (n, t) in file.sig_tokens() {
         if t.kind != TokKind::Ident {
@@ -500,7 +501,26 @@ pub fn hermeticity(
             continue;
         }
         let seg_text = seg.text(&file.text);
-        if !allowed(seg_text) {
+        let allowed = STD_SEGMENTS.contains(&seg_text)
+            || crate_names.iter().any(|c| c == seg_text)
+            || local_items.iter().any(|m| m == seg_text)
+            || imported.contains(&seg_text);
+        if s == "use" {
+            let mut k = n + 1;
+            while let Some(tok) = file.sig_tok(k) {
+                if tok.kind == TokKind::Punct(b';') {
+                    break;
+                }
+                let leaf = file.sig_is_punct(k + 1, b',')
+                    || file.sig_is_punct(k + 1, b'}')
+                    || file.sig_is_punct(k + 1, b';');
+                if tok.kind == TokKind::Ident && leaf && !file.sig_is_ident(k, "self") {
+                    imported.push(tok.text(&file.text));
+                }
+                k += 1;
+            }
+        }
+        if !allowed {
             out.push(finding(
                 "hermeticity",
                 file,
@@ -660,14 +680,18 @@ mod tests {
 
     #[test]
     fn hermeticity_allows_std_workspace_and_local_items_only() {
-        let src = "use std::io;\nuse core::fmt;\nuse crate::x;\nuse self::y;\nuse super::z;\nuse paradyn_des::Sim;\nuse bounds::B;\nuse serde::Serialize;\nextern crate rand;\n";
+        let src = "use std::io;\nuse core::fmt;\nuse crate::x;\nuse self::y;\nuse super::z;\nuse paradyn_des::Sim;\nuse bounds::B;\nuse serde::Serialize;\nextern crate rand;\n\
+                   use paradyn_des::{CalendarKind, Ctx as C};\nfn f() { use CalendarKind::{Heap, Wheel}; use C::X; }\nuse tokio::Runtime;\n";
         let hits = hermeticity(
             &file("crates/des/src/x.rs", src),
             &names(),
             &["bounds".to_string()],
         );
-        assert_eq!(hits.len(), 2, "{hits:?}");
+        assert_eq!(hits.len(), 3, "{hits:?}");
         assert!(hits[0].message.contains("serde"));
         assert!(hits[1].message.contains("rand"));
+        // Names imported by an earlier `use` (leaf or alias) are allowed;
+        // an unknown external crate is still flagged.
+        assert!(hits[2].message.contains("tokio"));
     }
 }
